@@ -23,12 +23,11 @@ def main(argv=None) -> int:
     parser.add_argument("--runs", type=int, default=DEFAULT_RUNS,
                         help="Monte Carlo runs per cell (default: %(default)s)")
     parser.add_argument("--seed", type=int, default=0, help="base seed (default: %(default)s)")
-    parser.add_argument("--shards", type=int, default=1, help="run blocks per cell")
     parser.add_argument("--out", default="sweep_results.csv",
                         help="CSV output path (default: %(default)s)")
     args = parser.parse_args(argv)
 
-    config = SweepConfig(runs=args.runs, seed=args.seed, shards=args.shards)
+    config = SweepConfig(runs=args.runs, seed=args.seed)
     total = len(config.n_values) * len(config.p_values) * len(config.epsilon_values)
     print(f"running {total} cells at {config.runs} runs each (seed {config.seed})")
     start = time.time()

@@ -8,16 +8,13 @@ raw estimators across privacy levels.
 """
 
 from .estimators import (
-    EstimateReport,
     bayes_estimate,
     bayes_estimate_batch,
-    estimate_report,
     naive_estimate,
     posterior,
 )
 from .mechanism import (
     OutOfRangeBounds,
-    OutOfRangeReport,
     PrivacyLevel,
     calibrate,
     dp_ratio_check,
@@ -28,9 +25,8 @@ from .mechanism import (
 )
 from .prior import (
     BinomialPrior,
-    log_mass,
     log_mass_vector,
-    sample_true_count,
+    sample_true_counts,
     uncertainty_widths,
 )
 from .querydb import (
@@ -47,11 +43,9 @@ from .simulation import (
     CellResult,
     SweepConfig,
     SweepResult,
-    analytic_naive_error,
     run_cell,
     run_stream,
     run_sweep,
-    shard_ranges,
     write_csv,
 )
 
@@ -59,25 +53,20 @@ __all__ = [
     "BinomialPrior",
     "CellFailure",
     "CellResult",
-    "EstimateReport",
     "OutOfRangeBounds",
-    "OutOfRangeReport",
     "Predicate",
     "PrivacyLevel",
     "QueryResult",
     "RecordSet",
     "SweepConfig",
     "SweepResult",
-    "analytic_naive_error",
     "bayes_estimate",
     "bayes_estimate_batch",
     "calibrate",
     "count_query",
     "dp_ratio_check",
-    "estimate_report",
     "laplace_density",
     "load_records",
-    "log_mass",
     "log_mass_vector",
     "naive_estimate",
     "noisy_count_query",
@@ -89,8 +78,7 @@ __all__ = [
     "run_stream",
     "run_sweep",
     "sample_noise",
-    "sample_true_count",
-    "shard_ranges",
+    "sample_true_counts",
     "uncertainty_widths",
     "write_csv",
 ]

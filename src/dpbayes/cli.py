@@ -30,13 +30,6 @@ from .simulation import (
 SEED_ENV_VAR = "DPBAYES_SEED"
 
 
-class _MedianStream:
-    """Noise hook for tests: every uniform is 0.5, so every Laplace draw is 0."""
-
-    def random(self) -> float:
-        return 0.5
-
-
 def _resolve_seed(flag_value, default=None):
     # Precedence: explicit flag, then the environment, then the default.
     if flag_value is not None:
@@ -68,8 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"Monte Carlo runs per cell (default: {DEFAULT_RUNS})")
     sweep.add_argument("--seed", type=int, default=None,
                        help=f"base seed (default: ${SEED_ENV_VAR} or 0)")
-    sweep.add_argument("--shards", type=int, default=None,
-                       help="contiguous run blocks; never changes results (default: 1)")
     sweep.add_argument("--out", default=None, help="CSV output path (default: stdout)")
     sweep.add_argument("--config", default=None,
                        help="JSON file with sweep settings; explicit flags win")
@@ -89,7 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--n-known", type=int, default=None,
                        help="database size assumed by the corrector "
                             "(default: the loaded row count)")
-    query.add_argument("--noise-hook", choices=["median"], default=None, help=argparse.SUPPRESS)
 
     analyze = sub.add_parser("analyze", help="closed-form out-of-range and width reports")
     analyze.add_argument("--n", type=int, required=True, help="database size")
@@ -105,7 +95,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_SWEEP_CONFIG_KEYS = ("n_values", "p_values", "epsilon_values", "runs", "seed", "shards")
+_SWEEP_CONFIG_KEYS = ("n_values", "p_values", "epsilon_values", "runs", "seed")
+
+
+def _is_int(value) -> bool:
+    # JSON true/false load as bools, which Python counts as integers.
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _load_sweep_file(path: str) -> dict:
@@ -119,6 +114,11 @@ def _load_sweep_file(path: str) -> dict:
     for key in ("n_values", "p_values", "epsilon_values"):
         if key in loaded and not isinstance(loaded[key], list):
             raise ValueError(f"sweep config {key} must be a list")
+    for key in ("runs", "seed"):
+        if key in loaded and not _is_int(loaded[key]):
+            raise ValueError(f"sweep config {key} must be an integer, got {loaded[key]!r}")
+    if not all(_is_int(n) for n in loaded.get("n_values", ())):
+        raise ValueError(f"sweep config n_values must hold integers, got {loaded['n_values']!r}")
     return loaded
 
 
@@ -131,19 +131,13 @@ def cmd_sweep(args) -> int:
         return stored.get(key, fallback)
 
     # Seed precedence: flag, then config file, then the environment, then 0.
-    if args.seed is not None:
-        seed = args.seed
-    elif "seed" in stored:
-        seed = stored["seed"]
-    else:
-        seed = _resolve_seed(None, default=0)
+    seed = _resolve_seed(pick(args.seed, "seed", None), default=0)
     config = SweepConfig(
         n_values=tuple(pick(args.n, "n_values", DEFAULT_N_VALUES)),
         p_values=tuple(pick(args.p, "p_values", DEFAULT_P_VALUES)),
         epsilon_values=tuple(pick(args.eps, "epsilon_values", DEFAULT_EPSILON_VALUES)),
         runs=pick(args.runs, "runs", DEFAULT_RUNS),
         seed=seed,
-        shards=pick(args.shards, "shards", 1),
     )
     result = run_sweep(config)
     if args.out is not None:
@@ -151,15 +145,12 @@ def cmd_sweep(args) -> int:
             write_csv(result, stream)
     else:
         write_csv(result, sys.stdout)
-    if result.failures:
-        for failure in result.failures:
-            print(
-                f"cell failed: n={failure.n} p={failure.p} eps={failure.epsilon}: "
-                f"{failure.message}",
-                file=sys.stderr,
-            )
-        return 1
-    return 0
+    for failure in result.failures:
+        print(
+            f"cell failed: n={failure.n} p={failure.p} eps={failure.epsilon}: {failure.message}",
+            file=sys.stderr,
+        )
+    return 1 if result.failures else 0
 
 
 def cmd_query(args) -> int:
@@ -167,11 +158,7 @@ def cmd_query(args) -> int:
     pred = Predicate.parse(args.where)
     with open(args.data, newline="") as stream:
         db = load_records(stream)
-    if args.noise_hook == "median":
-        rng = _MedianStream()
-    else:
-        seed = _resolve_seed(args.seed)
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_resolve_seed(args.seed))
     result = noisy_count_query(db, pred, level, rng)
     print(public_answer(result))
     if args.estimate:
@@ -207,18 +194,14 @@ def cmd_analyze(args) -> int:
         )
         printed = True
     if args.a is not None:
-        report = out_of_range_probability(args.a, args.n, level)
-        print(
-            f"P(out of range | a={report.true_count}, n={report.db_size}, "
-            f"eps={level.epsilon}) = {report.probability:.7g}"
-        )
+        probability = out_of_range_probability(args.a, args.n, level)
+        print(f"P(out of range | a={args.a}, n={args.n}, eps={level.epsilon}) = {probability:.7g}")
         printed = True
     if not printed:
         # No selector given: print a small table over quartile counts.
         print("a,out_of_range_probability")
         for a in sorted({0, args.n // 4, args.n // 2, (3 * args.n) // 4, args.n}):
-            report = out_of_range_probability(a, args.n, level)
-            print(f"{a},{report.probability:.7g}")
+            print(f"{a},{out_of_range_probability(a, args.n, level):.7g}")
     return 0
 
 

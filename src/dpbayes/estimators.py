@@ -11,7 +11,6 @@ lands back inside ``[0, n]``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,29 +18,15 @@ from .mechanism import PrivacyLevel
 from .prior import BinomialPrior, log_mass_vector
 
 __all__ = [
-    "EstimateReport",
     "naive_estimate",
     "posterior",
     "bayes_estimate",
     "bayes_estimate_batch",
-    "estimate_report",
 ]
 
 # Rows per posterior evaluation block; keeps the (rows, n+1) weight matrix
 # around 32 MB at n = 1000 while leaving per-row results chunk-invariant.
 _CHUNK_ROWS = 4096
-
-
-@dataclass(frozen=True)
-class EstimateReport:
-    """Both estimates for one response, plus the posterior they came from.
-
-    ``posterior[k]`` is the probability that the true count equals ``k``.
-    """
-
-    naive: float
-    bayes: float
-    posterior: np.ndarray
 
 
 def _check_response(y) -> float:
@@ -147,11 +132,3 @@ def bayes_estimate_batch(prior: BinomialPrior, level: PrivacyLevel, ys) -> np.nd
         out[lo:hi] = _bayes_rows(prior, level, ys[lo:hi], row_offset=lo)
     return out
 
-
-def estimate_report(prior: BinomialPrior, level: PrivacyLevel, y: float) -> EstimateReport:
-    """Both estimators applied to one response, with the posterior attached."""
-    value = _check_response(y)
-    probs = posterior(prior, level, value)
-    k = np.arange(prior.n + 1, dtype=np.float64)
-    corrected = min(max(float(k @ probs), 0.0), float(prior.n))
-    return EstimateReport(naive=value, bayes=corrected, posterior=probs)

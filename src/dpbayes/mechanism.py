@@ -16,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "PrivacyLevel",
-    "OutOfRangeReport",
     "OutOfRangeBounds",
     "calibrate",
     "laplace_density",
@@ -67,7 +66,7 @@ def calibrate(epsilon: float) -> PrivacyLevel:
     return PrivacyLevel(epsilon)
 
 
-def laplace_density(z, level: PrivacyLevel):
+def laplace_density(z, level: PrivacyLevel) -> np.ndarray:
     """Density ``(epsilon/2) * exp(-epsilon * |z|)`` of the calibrated noise.
 
     Args:
@@ -75,11 +74,11 @@ def laplace_density(z, level: PrivacyLevel):
         level: calibrated privacy level.
 
     Returns:
-        Density value(s), matching the shape of ``z``.
+        Array of density values with the shape of ``z`` (0-d for a point).
     """
     z = np.asarray(z, dtype=np.float64)
-    out = 0.5 * level.epsilon * np.exp(-level.epsilon * np.abs(z))
-    return float(out) if out.ndim == 0 else out
+    # numpy turns 0-d results into scalars; keep one return type.
+    return np.asarray(0.5 * level.epsilon * np.exp(-level.epsilon * np.abs(z)))
 
 
 def sample_noise(level: PrivacyLevel, rng) -> float:
@@ -104,15 +103,6 @@ def sample_noise(level: PrivacyLevel, rng) -> float:
     return -level.scale_b * sign * math.log1p(-2.0 * abs(d))
 
 
-@dataclass(frozen=True)
-class OutOfRangeReport:
-    """Probability that the noisy answer leaves [0, db_size] for one true count."""
-
-    probability: float
-    true_count: int
-    db_size: int
-
-
 def _check_db_size(n) -> int:
     size = int(n)
     if size != n or size < 1:
@@ -120,7 +110,7 @@ def _check_db_size(n) -> int:
     return size
 
 
-def out_of_range_probability(a: int, n: int, level: PrivacyLevel) -> OutOfRangeReport:
+def out_of_range_probability(a: int, n: int, level: PrivacyLevel) -> float:
     """Probability that a noisy count at true value ``a`` escapes ``[0, n]``.
 
     The noise is symmetric Laplace, so the closed form is
@@ -139,8 +129,7 @@ def out_of_range_probability(a: int, n: int, level: PrivacyLevel) -> OutOfRangeR
     count = int(a)
     if count != a or not 0 <= count <= size:
         raise ValueError(f"true count must be an integer in [0, {size}], got {a!r}")
-    prob = 0.5 * (math.exp(-level.epsilon * count) + math.exp(level.epsilon * (count - size)))
-    return OutOfRangeReport(probability=prob, true_count=count, db_size=size)
+    return 0.5 * (math.exp(-level.epsilon * count) + math.exp(level.epsilon * (count - size)))
 
 
 @dataclass(frozen=True)
@@ -173,7 +162,7 @@ def out_of_range_bounds(n: int, level: PrivacyLevel) -> OutOfRangeBounds:
         argmin = frozenset({size // 2})
     else:
         argmin = frozenset({(size - 1) // 2, (size + 1) // 2})
-    min_prob = out_of_range_probability(min(argmin), size, level).probability
+    min_prob = out_of_range_probability(min(argmin), size, level)
     return OutOfRangeBounds(
         max_prob=max_prob,
         argmax=frozenset({0, size}),
@@ -208,5 +197,4 @@ def dp_ratio_check(level: PrivacyLevel, a1: int, a2: int, grid) -> bool:
     ys = np.asarray(grid, dtype=np.float64)
     f1 = laplace_density(ys - float(a1), level)
     f2 = laplace_density(ys - float(a2), level)
-    bound = math.exp(level.epsilon) * np.asarray(f2)
-    return bool(np.all(np.asarray(f1) <= bound * (1.0 + 1e-12)))
+    return bool(np.all(f1 <= math.exp(level.epsilon) * f2 * (1.0 + 1e-12)))

@@ -20,9 +20,8 @@ from .mechanism import PrivacyLevel
 
 __all__ = [
     "BinomialPrior",
-    "log_mass",
     "log_mass_vector",
-    "sample_true_count",
+    "sample_true_counts",
     "uncertainty_widths",
 ]
 
@@ -76,33 +75,19 @@ def log_mass_vector(prior: BinomialPrior) -> np.ndarray:
     return _log_pmf(prior.n, prior.p)
 
 
-def log_mass(prior: BinomialPrior, k: int) -> float:
-    """Log-probability that exactly ``k`` of the ``n`` records match.
+def sample_true_counts(n: int, p_values, rng) -> np.ndarray:
+    """Draw one Binomial(n, p) true count for every ``p`` from the same records.
 
-    Computed through log-gamma, so it stays finite (for non-degenerate
-    ``p``) at any ``n`` the caller can afford to enumerate.
+    Consumes exactly ``n`` uniforms from ``rng`` in record order and
+    thresholds them at every ``p``, so a record matching at ``p`` also
+    matches at any larger ``p``.  ``rng`` is a numpy ``Generator`` or
+    anything whose ``random(n)`` returns ``n`` uniforms in [0, 1).
 
-    Raises:
-        ValueError: if ``k`` lies outside ``[0, n]``.
+    Returns:
+        Integer array of counts, one per entry of ``p_values``.
     """
-    count = int(k)
-    if count != k or not 0 <= count <= prior.n:
-        raise ValueError(f"k must be an integer in [0, {prior.n}], got {k!r}")
-    return float(log_mass_vector(prior)[count])
-
-
-def sample_true_count(prior: BinomialPrior, rng) -> int:
-    """Draw one true count as ``n`` independent Bernoulli(p) trials.
-
-    Consumes exactly ``n`` uniforms from ``rng`` in record order, which
-    keeps the draw reproducible across platforms for a given stream.
-
-    Args:
-        prior: population model.
-        rng: numpy ``Generator`` (or anything whose ``random(n)`` returns
-            ``n`` uniforms in [0, 1)).
-    """
-    return int((rng.random(prior.n) < prior.p).sum())
+    uniforms = rng.random(n)
+    return (uniforms < np.asarray(p_values, dtype=np.float64)[:, None]).sum(axis=1)
 
 
 def uncertainty_widths(prior: BinomialPrior, level: PrivacyLevel) -> tuple[float, float]:

@@ -2,10 +2,10 @@
 
 Each run draws a true count from the binomial population model, perturbs it
 with calibrated Laplace noise, and scores both estimators by absolute error.
-Every run owns a counter-based random stream keyed by ``(seed, run_index)``,
-so results are bitwise identical however the run range is partitioned into
-shards, and runs are shared across grid cells (common random numbers) to
-keep cross-cell comparisons smooth.
+Every run owns a counter-based random stream keyed by ``(seed, run_index)``.
+A sweep draws each run once per n and scores it in every (p, epsilon) cell,
+so cells are compared under common random numbers and a cell's result does
+not depend on the grid around it.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .estimators import bayes_estimate_batch
 from .mechanism import PrivacyLevel, calibrate, sample_noise
-from .prior import BinomialPrior, sample_true_count
+from .prior import BinomialPrior, sample_true_counts
 
 __all__ = [
     "DEFAULT_N_VALUES",
@@ -31,8 +31,6 @@ __all__ = [
     "CellFailure",
     "SweepResult",
     "run_stream",
-    "shard_ranges",
-    "analytic_naive_error",
     "run_cell",
     "run_sweep",
     "write_csv",
@@ -58,45 +56,59 @@ CSV_HEADER = (
     "seed",
 )
 
-_MASK64 = (1 << 64) - 1
+_SEED_LIMIT = 1 << 64
+
+# Every run draws its noise once, at epsilon = 1; a cell rescales that draw.
+_UNIT_LEVEL = calibrate(1.0)
+
+
+def _check_seed(seed) -> int:
+    value = int(seed)
+    if value != seed or not 0 <= value < _SEED_LIMIT:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    return value
 
 
 def run_stream(seed: int, run_index: int) -> np.random.Generator:
     """Counter-based random stream for one run, keyed by (seed, run index).
 
-    Streams for distinct run indices are independent, and a run's stream
-    never depends on which shard or worker executes it.  Runs with the same
+    Streams for distinct run indices are independent.  Runs with the same
     index deliberately share a stream across grid cells, so cells are
     compared under common random numbers.
+
+    Raises:
+        ValueError: if the seed is not an integer in [0, 2**64).
     """
-    key = np.array([seed & _MASK64, run_index & _MASK64], dtype=np.uint64)
+    key = np.array([_check_seed(seed), run_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Grid and reproducibility knobs for an estimator-comparison sweep."""
+    """Grid and reproducibility knobs; every value is checked before any cell runs."""
 
     n_values: tuple = DEFAULT_N_VALUES
     p_values: tuple = DEFAULT_P_VALUES
     epsilon_values: tuple = DEFAULT_EPSILON_VALUES
     runs: int = DEFAULT_RUNS
     seed: int = 0
-    shards: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("n_values", "p_values", "epsilon_values"):
-            values = tuple(getattr(self, name))
+        checks = {
+            "n_values": lambda n: BinomialPrior(n=n, p=0.0).n,
+            "p_values": lambda p: BinomialPrior(n=1, p=p).p,
+            "epsilon_values": lambda epsilon: calibrate(epsilon).epsilon,
+        }
+        for name, check in checks.items():
+            values = tuple(map(check, getattr(self, name)))
             if not values:
                 raise ValueError(f"{name} must be non-empty")
             object.__setattr__(self, name, values)
-        if int(self.runs) < 1:
-            raise ValueError(f"runs must be at least 1, got {self.runs!r}")
-        if int(self.shards) < 1:
-            raise ValueError(f"shards must be at least 1, got {self.shards!r}")
-        object.__setattr__(self, "runs", int(self.runs))
-        object.__setattr__(self, "shards", int(self.shards))
-        object.__setattr__(self, "seed", int(self.seed))
+        runs = int(self.runs)
+        if runs != self.runs or runs < 1:
+            raise ValueError(f"runs must be an integer of at least 1, got {self.runs!r}")
+        object.__setattr__(self, "runs", runs)
+        object.__setattr__(self, "seed", _check_seed(self.seed))
 
 
 @dataclass(frozen=True)
@@ -145,103 +157,88 @@ class SweepResult:
     failures: tuple = ()
 
 
-def shard_ranges(runs: int, shards: int) -> list[tuple[int, int]]:
-    """Contiguous balanced partition of the run range [0, runs) into shards.
+def _draw_runs(n: int, p_values: tuple, runs: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every run at one n, drawn once: ``(true_counts[p index, run], unit_noise[run])``.
 
-    Always returns exactly ``shards`` ranges; some are empty when
-    ``shards > runs``.  Which partition is chosen never affects results,
-    because each run draws from its own stream.
+    Run ``r`` reads its stream in a fixed order: ``n`` count uniforms,
+    thresholded at every ``p``, then one noise draw at epsilon = 1.
     """
-    base, extra = divmod(runs, shards)
-    ranges = []
-    lo = 0
-    for index in range(shards):
-        hi = lo + base + (1 if index < extra else 0)
-        ranges.append((lo, hi))
-        lo = hi
-    return ranges
+    true_counts = np.empty((len(p_values), runs), dtype=np.float64)
+    unit_noise = np.empty(runs, dtype=np.float64)
+    for run_index in range(runs):
+        stream = run_stream(seed, run_index)
+        true_counts[:, run_index] = sample_true_counts(n, p_values, stream)
+        unit_noise[run_index] = sample_noise(_UNIT_LEVEL, stream)
+    return true_counts, unit_noise
 
 
-def analytic_naive_error(level: PrivacyLevel) -> float:
-    """Expected absolute error 1/epsilon of the naive estimator.
-
-    The naive error is the raw Laplace noise, whose mean absolute value is
-    its scale ``b = 1/epsilon``.
-    """
-    return level.scale_b
-
-
-def run_cell(n: int, p: float, epsilon: float, runs: int, seed: int, shards: int = 1) -> CellResult:
-    """Simulate one grid cell.
-
-    Per run: a fresh true count from the prior, one calibrated noise draw,
-    then absolute errors of the raw response and of its posterior-mean
-    correction.  Shards split the run range into contiguous blocks; because
-    every run derives its own stream and the reduction happens in run
-    order, the result is bitwise independent of the shard count.  Shard
-    blocks touch no shared mutable state beyond disjoint slices of the
-    preallocated arrays, so external callers may execute them in parallel.
-
-    Raises:
-        ValueError: on invalid population, privacy, or run parameters.
-        FloatingPointError: naming the offending run if the posterior
-            degenerates; the cell aborts rather than report partial sums.
-    """
-    prior = BinomialPrior(n=n, p=p)
-    level = calibrate(epsilon)
-    if int(runs) < 1:
-        raise ValueError(f"runs must be at least 1, got {runs!r}")
-    runs = int(runs)
-    true_counts = np.empty(runs, dtype=np.float64)
-    responses = np.empty(runs, dtype=np.float64)
-    for lo, hi in shard_ranges(runs, shards):
-        for run_index in range(lo, hi):
-            stream = run_stream(seed, run_index)
-            count = sample_true_count(prior, stream)
-            true_counts[run_index] = count
-            responses[run_index] = count + sample_noise(level, stream)
-    try:
-        corrected = bayes_estimate_batch(prior, level, responses)
-    except FloatingPointError as exc:
-        raise FloatingPointError(f"cell n={n} p={p} epsilon={epsilon}: {exc} (row = run index)") from exc
+def _score_cell(
+    prior: BinomialPrior, level: PrivacyLevel, true_counts, unit_noise, seed: int
+) -> CellResult:
+    """Absolute errors of the raw responses and of their posterior-mean correction."""
+    # sample_noise returns +-scale_b times a level-free magnitude, so
+    # rescaling the unit draw equals a draw at this level bitwise.
+    responses = true_counts + unit_noise * level.scale_b
+    corrected = bayes_estimate_batch(prior, level, responses)
+    runs = responses.size
     err_naive = np.abs(responses - true_counts)
     err_bayes = np.abs(corrected - true_counts)
-    better = int((err_bayes < err_naive).sum())
-    ties = int((err_bayes == err_naive).sum())
     return CellResult(
         n=prior.n,
         p=prior.p,
         epsilon=level.epsilon,
         avg_err_naive=float(err_naive.mean()),
-        avg_err_naive_analytic=analytic_naive_error(level),
+        avg_err_naive_analytic=level.scale_b,
         avg_err_bayes=float(err_bayes.mean()),
-        prob_bayes_better=better / runs,
+        prob_bayes_better=int((err_bayes < err_naive).sum()) / runs,
         se_naive=float(err_naive.std(ddof=1) / math.sqrt(runs)) if runs > 1 else float("nan"),
         se_bayes=float(err_bayes.std(ddof=1) / math.sqrt(runs)) if runs > 1 else float("nan"),
-        ties=ties,
+        ties=int((err_bayes == err_naive).sum()),
         runs=runs,
-        seed=int(seed),
+        seed=seed,
     )
+
+
+def run_cell(n: int, p: float, epsilon: float, runs: int, seed: int) -> CellResult:
+    """Simulate one grid cell, as the one-cell sweep.
+
+    Per run: a true count from the prior and one calibrated noise draw,
+    then absolute errors of the raw response and of its posterior-mean
+    correction.  The result equals the matching cell of any sweep with the
+    same seed and runs, bitwise.
+
+    Raises:
+        ValueError: on invalid population, privacy, run or seed parameters.
+        FloatingPointError: naming the offending run if the posterior
+            degenerates; the cell aborts rather than report partial sums.
+    """
+    result = run_sweep(SweepConfig((n,), (p,), (epsilon,), runs, seed))
+    if result.failures:
+        raise FloatingPointError(result.failures[0].message)
+    return result.cells[0]
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
     """Evaluate every (n, p, epsilon) cell of the configured grid.
 
-    Cell failures are collected, not fatal: the sweep continues and reports
-    them alongside the surviving cells, which keep grid order (n outer,
-    then p, then epsilon).
+    Each run is drawn once per n and scored by every (p, epsilon) cell.  A
+    cell whose posterior degenerates is collected as a failure and the
+    sweep continues; the surviving cells keep grid order (n outer, then p,
+    then epsilon).
     """
     cells = []
     failures = []
+    levels = [calibrate(epsilon) for epsilon in config.epsilon_values]
     for n in config.n_values:
-        for p in config.p_values:
-            for epsilon in config.epsilon_values:
+        true_counts, unit_noise = _draw_runs(n, config.p_values, config.runs, config.seed)
+        for counts, p in zip(true_counts, config.p_values):
+            prior = BinomialPrior(n=n, p=p)
+            for level in levels:
                 try:
-                    cells.append(
-                        run_cell(n, p, epsilon, config.runs, config.seed, shards=config.shards)
-                    )
-                except Exception as exc:
-                    failures.append(CellFailure(n=n, p=p, epsilon=epsilon, message=str(exc)))
+                    cells.append(_score_cell(prior, level, counts, unit_noise, config.seed))
+                except FloatingPointError as exc:
+                    message = f"{exc} (row = run index)"
+                    failures.append(CellFailure(n=n, p=p, epsilon=level.epsilon, message=message))
     return SweepResult(config=config, cells=tuple(cells), failures=tuple(failures))
 
 

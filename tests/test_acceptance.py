@@ -8,7 +8,6 @@ verdict.  The heavy Monte Carlo grids come from session-scoped fixtures in
 
 from __future__ import annotations
 
-import io
 import math
 
 import numpy as np
@@ -22,10 +21,10 @@ from dpbayes import (
     out_of_range_bounds,
     out_of_range_probability,
     posterior,
+    run_cell,
     run_sweep,
     sample_noise,
     uncertainty_widths,
-    write_csv,
 )
 
 from conftest import ACCEPTANCE_SEED
@@ -105,14 +104,14 @@ def test_criterion_6_out_of_range_law():
     rng = np.random.default_rng(ACCEPTANCE_SEED)
     noise = np.array([sample_noise(level, rng) for _ in range(100_000)])
     for a in (0, 25, 50, 100):
-        target = out_of_range_probability(a, 100, level).probability
+        target = out_of_range_probability(a, 100, level)
         observed = float(((a + noise < 0.0) | (a + noise > 100.0)).mean())
         se = math.sqrt(target * (1.0 - target) / noise.size)
         if abs(observed - target) > 3.0 * se:
             report(6, False, f"a={a}: observed {observed:.5f} vs {target:.5f} beyond 3 SE")
     for n in range(1, 201):
         bounds = out_of_range_bounds(n, level)
-        probs = [out_of_range_probability(a, n, level).probability for a in range(n + 1)]
+        probs = [out_of_range_probability(a, n, level) for a in range(n + 1)]
         hi, lo = max(probs), min(probs)
         arg_hi = frozenset(a for a, q in enumerate(probs) if q == hi)
         arg_lo = frozenset(a for a, q in enumerate(probs) if q == lo)
@@ -182,15 +181,15 @@ def test_criterion_8_property_suite():
             if not dp_ratio_check(lvl, a1, a2, grid):
                 failures.append(f"ratio bound failed at eps={eps}, counts ({a1}, {a2})")
 
-    config = dict(n_values=(100,), p_values=(0.3,), epsilon_values=(0.1, 1.0),
-                  runs=2_000, seed=ACCEPTANCE_SEED)
-    byte_versions = set()
-    for shards in (1, 8):
-        buffer = io.StringIO()
-        write_csv(run_sweep(SweepConfig(**config, shards=shards)), buffer)
-        byte_versions.add(buffer.getvalue())
-    if len(byte_versions) != 1:
-        failures.append("sweep output depends on shard count")
+    grid = dict(n_values=(100,), p_values=(0.3, 0.7), epsilon_values=(0.1, 1.0))
+    swept = run_sweep(SweepConfig(**grid, runs=2_000, seed=ACCEPTANCE_SEED)).cells
+    alone = tuple(
+        run_cell(n, p, eps, runs=2_000, seed=ACCEPTANCE_SEED)
+        for n in grid["n_values"] for p in grid["p_values"] for eps in grid["epsilon_values"]
+    )
+    if swept != alone:
+        failures.append("sweep cells differ from independent run_cell results")
 
     report(8, not failures, "; ".join(failures) if failures else
-           f"variance gap {var_gap:.3%}; normalisation, range, ratio bound, shard determinism all hold")
+           f"variance gap {var_gap:.3%}; normalisation, range, ratio bound, "
+           "sweep/run_cell bitwise agreement all hold")

@@ -7,6 +7,8 @@ import json
 import pytest
 
 import dpbayes.cli as cli_module
+import dpbayes.querydb as querydb_module
+from dpbayes import sample_noise
 from dpbayes.cli import main
 from dpbayes.simulation import CSV_HEADER, SweepResult
 
@@ -35,6 +37,21 @@ def data_file(tmp_path):
 @pytest.fixture(autouse=True)
 def no_ambient_seed(monkeypatch):
     monkeypatch.delenv(cli_module.SEED_ENV_VAR, raising=False)
+
+
+class MedianStream:
+    """Every uniform is 0.5, so every Laplace draw is exactly 0."""
+
+    def random(self):
+        return 0.5
+
+
+@pytest.fixture
+def median_noise(monkeypatch):
+    """Make the query path's noise draws see the median uniform."""
+    monkeypatch.setattr(
+        querydb_module, "sample_noise", lambda level, rng: sample_noise(level, MedianStream())
+    )
 
 
 def run_cli(capsys, *argv):
@@ -70,12 +87,6 @@ class TestSweep:
         argv = ("sweep", "--n", "100", "--p", "0.3", "--eps", "1.0", "--runs", "60", "--seed", "4")
         _, first, _ = run_cli(capsys, *argv)
         _, second, _ = run_cli(capsys, *argv)
-        assert first == second
-
-    def test_shards_do_not_change_output(self, capsys):
-        base = ("sweep", "--n", "100", "--p", "0.3", "--eps", "1.0", "--runs", "60", "--seed", "4")
-        _, first, _ = run_cli(capsys, *base)
-        _, second, _ = run_cli(capsys, *base, "--shards", "7")
         assert first == second
 
     def test_seed_env_fallback(self, capsys, monkeypatch):
@@ -134,6 +145,35 @@ class TestSweep:
         assert run_cli(capsys, "sweep", "--config", str(scalar_grid))[0] == 2
         assert run_cli(capsys, "sweep", "--config", str(tmp_path / "absent.json"))[0] == 2
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("runs", True), ("runs", 60.0), ("seed", 2.9), ("seed", False),
+         ("n_values", [True]), ("n_values", [100.0])],
+    )
+    def test_non_integer_config_values_are_usage_errors(self, capsys, tmp_path, key, value):
+        settings = {"n_values": [100], "p_values": [0.3], "epsilon_values": [1.0],
+                    "runs": 60, "seed": 4}
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({**settings, key: value}))
+        code, out, err = run_cli(capsys, "sweep", "--config", str(config))
+        assert (code, out) == (2, "")
+        assert key in err
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**64 + 4)])
+    def test_seed_outside_64_bits_is_usage_error(self, capsys, monkeypatch, seed):
+        argv = ("sweep", "--n", "100", "--p", "0.3", "--eps", "1.0", "--runs", "50")
+        code, out, err = run_cli(capsys, *argv, "--seed", seed)
+        assert (code, out) == (2, "")
+        assert "seed" in err
+        monkeypatch.setenv(cli_module.SEED_ENV_VAR, seed)
+        assert run_cli(capsys, *argv)[0] == 2
+
+    def test_bad_grid_value_is_usage_error(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sweep", "--n", "100", "--p", "0.3", "1.5", "--eps", "1.0", "--runs", "50"
+        )
+        assert (code, out) == (2, "")
+
     def test_bad_env_seed_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv(cli_module.SEED_ENV_VAR, "not-a-number")
         code, _, err = run_cli(
@@ -173,10 +213,9 @@ class TestSweep:
 
 
 class TestQuery:
-    def test_median_hook_returns_true_count(self, capsys, data_file):
+    def test_median_hook_returns_true_count(self, capsys, data_file, median_noise):
         code, out, _ = run_cli(
-            capsys, "query", "--data", data_file, "--where", "city equals Rome",
-            "--eps", "0.1", "--noise-hook", "median",
+            capsys, "query", "--data", data_file, "--where", "city equals Rome", "--eps", "0.1"
         )
         assert code == 0
         payload = json.loads(out.splitlines()[0])
@@ -200,10 +239,9 @@ class TestQuery:
         _, from_flag, _ = run_cli(capsys, *argv, "--seed", "7")
         assert from_env == from_flag
 
-    def test_unknown_field_still_answers(self, capsys, data_file):
+    def test_unknown_field_still_answers(self, capsys, data_file, median_noise):
         code, out, _ = run_cli(
-            capsys, "query", "--data", data_file, "--where", "region equals north",
-            "--eps", "0.1", "--noise-hook", "median",
+            capsys, "query", "--data", data_file, "--where", "region equals north", "--eps", "0.1"
         )
         assert code == 0
         assert json.loads(out.splitlines()[0])["noisy_value"] == 0.0
@@ -223,11 +261,10 @@ class TestQuery:
         assert payload["n"] == 10
         assert payload["p"] == 0.4
 
-    def test_estimate_with_known_size(self, capsys, data_file):
+    def test_estimate_with_known_size(self, capsys, data_file, median_noise):
         code, out, _ = run_cli(
             capsys, "query", "--data", data_file, "--where", "city equals Rome",
-            "--eps", "0.1", "--noise-hook", "median", "--estimate",
-            "--p", "0.04", "--n-known", "100",
+            "--eps", "0.1", "--estimate", "--p", "0.04", "--n-known", "100",
         )
         assert code == 0
         payload = json.loads(out.splitlines()[1])
@@ -326,6 +363,14 @@ class TestUsage:
 
     def test_unknown_flag_is_usage_error(self, capsys):
         assert run_cli(capsys, "sweep", "--bogus")[0] == 2
+
+    def test_removed_flags_are_usage_errors(self, capsys, data_file):
+        assert run_cli(capsys, "sweep", "--runs", "5", "--shards", "2")[0] == 2
+        code, out, _ = run_cli(
+            capsys, "query", "--data", data_file, "--where", "city equals Rome",
+            "--eps", "0.1", "--noise-hook", "median",
+        )
+        assert (code, out) == (2, "")
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0

@@ -14,7 +14,6 @@ from dpbayes import (
     bayes_estimate,
     bayes_estimate_batch,
     calibrate,
-    estimate_report,
     naive_estimate,
     posterior,
 )
@@ -221,20 +220,3 @@ class TestBatch:
                 prior, calibrate(1.0), np.array([2.0]), row_offset=5
             )
 
-
-class TestEstimateReport:
-    def test_components_agree(self):
-        prior = BinomialPrior(n=100, p=0.3)
-        level = calibrate(0.1)
-        report = estimate_report(prior, level, 42.7)
-        assert report.naive == 42.7
-        assert report.posterior.sum() == pytest.approx(1.0, abs=1e-12)
-        posterior_mean = float(np.arange(101) @ report.posterior)
-        assert report.bayes == pytest.approx(posterior_mean, abs=1e-9)
-        assert report.bayes == pytest.approx(bayes_estimate(prior, level, 42.7), abs=1e-9)
-
-    def test_naive_outside_bayes_inside(self):
-        prior = BinomialPrior(n=100, p=0.3)
-        report = estimate_report(prior, calibrate(0.1), -15.0)
-        assert report.naive == -15.0
-        assert 0.0 <= report.bayes <= 100.0

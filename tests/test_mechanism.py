@@ -64,6 +64,11 @@ class TestLaplaceDensity:
         assert laplace_density(0.0, level) == pytest.approx(0.05, rel=1e-15)
         assert laplace_density(10.0, level) == pytest.approx(0.05 * math.exp(-1.0), rel=1e-12)
 
+    def test_point_gives_zero_dimensional_array(self):
+        out = laplace_density(0.0, calibrate(0.1))
+        assert isinstance(out, np.ndarray)
+        assert out.shape == ()
+
     def test_array_input(self):
         level = calibrate(1.0)
         out = laplace_density(np.array([-2.0, 0.0, 2.0]), level)
@@ -105,6 +110,23 @@ class TestSampleNoise:
         assert sample_noise(calibrate(0.1), StubStream([0.0, 0.75])) == direct
         assert sample_noise(calibrate(0.1), StubStream([1.0, 0.0, 0.75])) == direct
 
+    @pytest.mark.parametrize("epsilon", [0.05, 0.1, 1.0, 2.0])
+    def test_smallest_noise_is_unreachable_from_the_next_count(self, epsilon):
+        # Floating-point sampling breaks the density-ratio bound (Mironov,
+        # CCS 2012).  2**-53 is the smallest uniform sample_noise accepts
+        # (numpy's random() returns multiples of 2**-53 and 0.0 is redrawn),
+        # so it yields the smallest noise the sampler can return.  The
+        # release a + noise then has positive probability at true count a
+        # but none at a + 1, whose releases all lie strictly above it.
+        level = calibrate(epsilon)
+        smallest = sample_noise(level, StubStream([2.0**-53]))
+        assert smallest == sample_noise(level, StubStream([0.0, 2.0**-53]))
+        assert smallest == pytest.approx(-52.0 * math.log(2.0) * level.scale_b, rel=1e-12)
+        assert sample_noise(level, StubStream([2.0**-52])) > smallest
+        for a in (0, 1, 50, 99):
+            released = a + smallest
+            assert (a + 1) + smallest > released
+
     def test_deterministic_given_stream(self):
         level = calibrate(0.5)
         first = [sample_noise(level, np.random.default_rng(7)) for _ in range(5)]
@@ -129,20 +151,20 @@ class TestSampleNoise:
 
 class TestOutOfRangeProbability:
     def test_endpoint_value(self):
-        report = out_of_range_probability(0, 100, calibrate(0.1))
-        assert report.probability == pytest.approx(0.5000227, abs=1e-7)
-        assert (report.true_count, report.db_size) == (0, 100)
+        probability = out_of_range_probability(0, 100, calibrate(0.1))
+        assert isinstance(probability, float)
+        assert probability == pytest.approx(0.5000227, abs=1e-7)
 
     def test_centre_value(self):
-        report = out_of_range_probability(50, 100, calibrate(0.1))
-        assert report.probability == pytest.approx(math.exp(-5.0), rel=1e-12)
+        probability = out_of_range_probability(50, 100, calibrate(0.1))
+        assert probability == pytest.approx(math.exp(-5.0), rel=1e-12)
 
     @given(st.integers(min_value=1, max_value=2000), st.floats(min_value=0.01, max_value=5.0))
     def test_symmetry_around_centre(self, n, epsilon):
         level = calibrate(epsilon)
         for a in {0, n // 3, n // 2}:
-            left = out_of_range_probability(a, n, level).probability
-            right = out_of_range_probability(n - a, n, level).probability
+            left = out_of_range_probability(a, n, level)
+            right = out_of_range_probability(n - a, n, level)
             assert left == pytest.approx(right, rel=1e-12)
 
     @pytest.mark.parametrize("a", [-1, 101, 7.5])
@@ -159,14 +181,14 @@ class TestOutOfRangeProbability:
         rng = np.random.default_rng(4321)
         noise = np.array([sample_noise(level, rng) for _ in range(30_000)])
         for a in (0, 25, 50):
-            target = out_of_range_probability(a, 100, level).probability
+            target = out_of_range_probability(a, 100, level)
             observed = ((a + noise < 0.0) | (a + noise > 100.0)).mean()
             tolerance = 4.0 * math.sqrt(target * (1.0 - target) / noise.size) + 1e-4
             assert abs(observed - target) < tolerance
 
 
 def brute_force_bounds(n, level):
-    probs = [out_of_range_probability(a, n, level).probability for a in range(n + 1)]
+    probs = [out_of_range_probability(a, n, level) for a in range(n + 1)]
     hi, lo = max(probs), min(probs)
     return (
         hi,
@@ -221,7 +243,7 @@ class TestOutOfRangeBounds:
         # flat step there only when n is odd.
         level = calibrate(epsilon)
         for n in range(2, 301):
-            probs = [out_of_range_probability(a, n, level).probability for a in range(n + 1)]
+            probs = [out_of_range_probability(a, n, level) for a in range(n + 1)]
             pivot = (n - 1) / 2.0
             for a in range(n):
                 diff = probs[a + 1] - probs[a]

@@ -12,9 +12,8 @@ from scipy import stats
 from dpbayes import (
     BinomialPrior,
     calibrate,
-    log_mass,
     log_mass_vector,
-    sample_true_count,
+    sample_true_counts,
     uncertainty_widths,
 )
 
@@ -37,25 +36,19 @@ class TestValidation:
 
 class TestLogMass:
     def test_small_example(self):
-        prior = BinomialPrior(n=2, p=0.5)
-        assert log_mass(prior, 1) == pytest.approx(math.log(0.5), abs=1e-12)
-        assert log_mass(prior, 0) == pytest.approx(math.log(0.25), abs=1e-12)
+        masses = log_mass_vector(BinomialPrior(n=2, p=0.5))
+        assert masses[1] == pytest.approx(math.log(0.5), abs=1e-12)
+        assert masses[0] == pytest.approx(math.log(0.25), abs=1e-12)
 
     def test_point_mass_at_zero(self):
-        prior = BinomialPrior(n=5, p=0.0)
-        assert log_mass(prior, 0) == 0.0
-        assert log_mass(prior, 1) == -math.inf
-        assert log_mass(prior, 5) == -math.inf
+        masses = log_mass_vector(BinomialPrior(n=5, p=0.0))
+        assert masses[0] == 0.0
+        assert np.all(masses[1:] == -math.inf)
 
     def test_point_mass_at_n(self):
-        prior = BinomialPrior(n=5, p=1.0)
-        assert log_mass(prior, 5) == 0.0
-        assert log_mass(prior, 4) == -math.inf
-
-    @pytest.mark.parametrize("k", [-1, 11, 0.5])
-    def test_rejects_bad_k(self, k):
-        with pytest.raises(ValueError):
-            log_mass(BinomialPrior(n=10, p=0.3), k)
+        masses = log_mass_vector(BinomialPrior(n=5, p=1.0))
+        assert masses[5] == 0.0
+        assert np.all(masses[:5] == -math.inf)
 
     def test_matches_scipy(self):
         prior = BinomialPrior(n=100, p=0.3)
@@ -89,40 +82,48 @@ class TestLogMass:
             vector[0] = 0.0
 
 
+def draw_count(n, p, rng):
+    (count,) = sample_true_counts(n, (p,), rng)
+    return int(count)
+
+
 class TestSampleTrueCount:
     def test_degenerate_priors(self):
         rng = np.random.default_rng(0)
-        assert sample_true_count(BinomialPrior(n=50, p=0.0), rng) == 0
-        assert sample_true_count(BinomialPrior(n=50, p=1.0), rng) == 50
+        assert sample_true_counts(50, (0.0, 1.0), rng).tolist() == [0, 50]
 
     def test_range(self):
         rng = np.random.default_rng(1)
         for _ in range(200):
-            count = sample_true_count(BinomialPrior(n=20, p=0.5), rng)
+            count = draw_count(20, 0.5, rng)
             assert 0 <= count <= 20
 
     def test_deterministic_given_stream(self):
-        prior = BinomialPrior(n=100, p=0.3)
-        first = [sample_true_count(prior, np.random.default_rng(5)) for _ in range(3)]
-        second = [sample_true_count(prior, np.random.default_rng(5)) for _ in range(3)]
+        first = [draw_count(100, 0.3, np.random.default_rng(5)) for _ in range(3)]
+        second = [draw_count(100, 0.3, np.random.default_rng(5)) for _ in range(3)]
         assert first == second
 
     def test_consumes_n_uniforms(self):
         # Two consecutive draws from one stream differ from two fresh streams
         # only through the stream position, so draw two from a clone and
         # check the second matches a stream advanced by exactly n uniforms.
-        prior = BinomialPrior(n=17, p=0.4)
         rng = np.random.default_rng(42)
-        sample_true_count(prior, rng)
-        follow_on = sample_true_count(prior, rng)
+        sample_true_counts(17, (0.1, 0.4, 0.9), rng)
+        follow_on = draw_count(17, 0.4, rng)
         shifted = np.random.default_rng(42)
         shifted.random(17)
-        assert sample_true_count(prior, shifted) == follow_on
+        assert draw_count(17, 0.4, shifted) == follow_on
+
+    def test_each_count_matches_a_single_p_draw(self):
+        p_values = (0.0, 0.02, 0.3, 0.5, 0.98, 1.0)
+        counts = sample_true_counts(100, p_values, np.random.default_rng(11))
+        singles = [draw_count(100, p, np.random.default_rng(11)) for p in p_values]
+        assert counts.tolist() == singles
+        assert np.all(np.diff(counts) >= 0)
 
     def test_empirical_mean(self):
-        prior = BinomialPrior(n=1000, p=0.3)
         rng = np.random.default_rng(2718)
-        draws = np.array([sample_true_count(prior, rng) for _ in range(100_000)])
+        draws = np.array([draw_count(1000, 0.3, rng) for _ in range(100_000)])
         sigma = math.sqrt(1000 * 0.3 * 0.7)
         assert abs(draws.mean() - 300.0) < 3.0 * sigma / math.sqrt(draws.size)
 
@@ -131,7 +132,7 @@ class TestSampleTrueCount:
         # expected count is at least 5; not rejected at significance 1e-4.
         prior = BinomialPrior(n=20, p=0.3)
         rng = np.random.default_rng(314159)
-        draws = np.array([sample_true_count(prior, rng) for _ in range(100_000)])
+        draws = np.array([draw_count(20, 0.3, rng) for _ in range(100_000)])
         expected = np.exp(log_mass_vector(prior)) * draws.size
         observed = np.bincount(draws, minlength=21).astype(float)
         pooled_obs, pooled_exp = [], []

@@ -182,7 +182,7 @@ class TestNoisyCountQuery:
             [noisy_count_query(db, pred, level, rng).noisy_value for _ in range(20_000)]
         )
         outside = ((values < 0.0) | (values > 100.0)).mean()
-        target = out_of_range_probability(0, 100, level).probability
+        target = out_of_range_probability(0, 100, level)
         assert abs(outside - target) < 4.0 * math.sqrt(target * (1.0 - target) / values.size)
 
     def test_never_clamped(self, db):

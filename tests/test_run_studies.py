@@ -1,0 +1,28 @@
+"""Smoke test of scripts/run_studies.py on a tiny run count."""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+from dpbayes.simulation import CSV_HEADER
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_studies.py"
+
+
+def load_script():
+    spec = importlib.util.spec_from_file_location("run_studies", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_default_grid_smoke(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert load_script().main(["--runs", "20", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == ",".join(CSV_HEADER)
+    assert len(lines) == 1 + 84
+    printed = capsys.readouterr().out
+    assert "wrote 84 rows" in printed
+    assert "match-probability sweep" in printed

@@ -10,18 +10,28 @@ import pytest
 
 import dpbayes.simulation as simulation_module
 from dpbayes import (
+    BinomialPrior,
     CellResult,
     SweepConfig,
-    analytic_naive_error,
+    bayes_estimate_batch,
     calibrate,
     run_cell,
     run_stream,
     run_sweep,
     sample_noise,
-    shard_ranges,
     write_csv,
 )
 from dpbayes.simulation import CSV_HEADER
+
+
+class StubStream:
+    """Returns one fixed uniform, as the last draw of a run's stream."""
+
+    def __init__(self, value):
+        self.value = float(value)
+
+    def random(self):
+        return self.value
 
 
 class TestRunStream:
@@ -38,34 +48,28 @@ class TestRunStream:
         b = run_stream(8, 3).random(4)
         assert not np.array_equal(a, b)
 
-    def test_accepts_huge_and_negative_seeds(self):
-        run_stream(2**70 + 5, 0).random()
-        run_stream(-1, 0).random()
-
-
-class TestShardRanges:
-    @pytest.mark.parametrize("runs, shards", [(10, 1), (10, 3), (7, 7), (5, 8), (100, 4)])
-    def test_partitions_exactly(self, runs, shards):
-        ranges = shard_ranges(runs, shards)
-        assert len(ranges) == shards
-        covered = [i for lo, hi in ranges for i in range(lo, hi)]
-        assert covered == list(range(runs))
-
-    def test_balanced(self):
-        sizes = [hi - lo for lo, hi in shard_ranges(10, 3)]
-        assert sorted(sizes) == [3, 3, 4]
+    def test_rejects_seeds_outside_64_bits(self):
+        # Reducing seeds modulo 2**64 would make s and s + 2**64 alias.
+        run_stream(0, 0).random()
+        run_stream(2**64 - 1, 0).random()
+        for seed in (-1, 2**64, 2**64 + 5, 2**70, 2.5):
+            with pytest.raises(ValueError):
+                run_stream(seed, 0)
+        with pytest.raises(ValueError):
+            run_cell(10, 0.3, 1.0, 50, 2**64 + 5)
 
 
 class TestAnalyticNaiveError:
     @pytest.mark.parametrize("epsilon, expected", [(0.1, 10.0), (0.5, 2.0), (1.0, 1.0)])
     def test_closed_form(self, epsilon, expected):
-        assert analytic_naive_error(calibrate(epsilon)) == pytest.approx(expected, rel=1e-15)
+        cell = run_cell(10, 0.3, epsilon, runs=2, seed=0)
+        assert cell.avg_err_naive_analytic == pytest.approx(expected, rel=1e-15)
 
     def test_monte_carlo_agreement(self):
         level = calibrate(0.1)
         rng = np.random.default_rng(777)
         draws = np.abs([sample_noise(level, rng) for _ in range(1_000_000)])
-        assert np.mean(draws) == pytest.approx(analytic_naive_error(level), rel=0.01)
+        assert np.mean(draws) == pytest.approx(level.scale_b, rel=0.01)
 
 
 class TestRunCell:
@@ -90,10 +94,25 @@ class TestRunCell:
         second = run_cell(100, 0.3, 0.1, runs=1_000, seed=42)
         assert first == second
 
-    @pytest.mark.parametrize("shards", [2, 3, 8, 1000, 1001])
-    def test_bitwise_shard_independence(self, shards):
-        baseline = run_cell(100, 0.3, 0.1, runs=1_000, seed=42)
-        assert run_cell(100, 0.3, 0.1, runs=1_000, seed=42, shards=shards) == baseline
+    def test_matches_per_run_reference_loop(self):
+        # Reference: every run draws its count and its noise at the cell's own
+        # level, with nothing shared between cells.
+        n, p, epsilon, runs, seed = 50, 0.3, 0.2, 400, 11
+        level = calibrate(epsilon)
+        counts = np.empty(runs)
+        responses = np.empty(runs)
+        for run_index in range(runs):
+            stream = run_stream(seed, run_index)
+            counts[run_index] = int((stream.random(n) < p).sum())
+            responses[run_index] = counts[run_index] + sample_noise(level, stream)
+        err_naive = np.abs(responses - counts)
+        corrected = bayes_estimate_batch(BinomialPrior(n=n, p=p), level, responses)
+        err_bayes = np.abs(corrected - counts)
+        cell = run_cell(n, p, epsilon, runs=runs, seed=seed)
+        assert cell.avg_err_naive == float(err_naive.mean())
+        assert cell.avg_err_bayes == float(err_bayes.mean())
+        assert cell.se_bayes == float(err_bayes.std(ddof=1) / math.sqrt(runs))
+        assert cell.prob_bayes_better == int((err_bayes < err_naive).sum()) / runs
 
     def test_seed_changes_results(self):
         a = run_cell(100, 0.3, 0.1, runs=1_000, seed=1)
@@ -113,6 +132,14 @@ class TestRunCell:
     def test_rejects_bad_runs(self):
         with pytest.raises(ValueError):
             run_cell(100, 0.3, 0.1, runs=0, seed=1)
+
+    @pytest.mark.parametrize(
+        "args", [(0, 0.3, 0.1, 5, 1), (100, 1.5, 0.1, 5, 1), (100, 0.3, 0.0, 5, 1),
+                 (100, 0.3, 0.1, 5, -1)],
+    )
+    def test_rejects_bad_cell_parameters(self, args):
+        with pytest.raises(ValueError):
+            run_cell(*args)
 
     def test_aborting_cell_names_run_index(self, monkeypatch):
         def broken(prior, level, ys):
@@ -140,14 +167,14 @@ class TestRunSweep:
         assert result.failures == ()
 
     def test_failures_do_not_stop_the_sweep(self, monkeypatch):
-        real_run_cell = simulation_module.run_cell
+        real_batch = simulation_module.bayes_estimate_batch
 
-        def flaky(n, p, epsilon, runs, seed, shards=1):
-            if epsilon == 1.0:
+        def flaky(prior, level, ys):
+            if level.epsilon == 1.0:
                 raise FloatingPointError("boom at row 3")
-            return real_run_cell(n, p, epsilon, runs, seed, shards=shards)
+            return real_batch(prior, level, ys)
 
-        monkeypatch.setattr(simulation_module, "run_cell", flaky)
+        monkeypatch.setattr(simulation_module, "bayes_estimate_batch", flaky)
         config = SweepConfig(
             n_values=(100,), p_values=(0.3,), epsilon_values=(0.5, 1.0, 2.0), runs=100, seed=1
         )
@@ -156,6 +183,50 @@ class TestRunSweep:
         assert len(result.failures) == 1
         assert result.failures[0].epsilon == 1.0
         assert "row 3" in result.failures[0].message
+
+    def test_only_posterior_failures_are_collected(self, monkeypatch):
+        def buggy(prior, level, ys):
+            raise TypeError("a bug, not a cell failure")
+
+        monkeypatch.setattr(simulation_module, "bayes_estimate_batch", buggy)
+        with pytest.raises(TypeError):
+            run_sweep(SweepConfig(n_values=(10,), p_values=(0.3,), epsilon_values=(1.0,), runs=5))
+
+    def test_draws_each_run_once_per_n(self, monkeypatch):
+        calls = []
+        real_run_stream = simulation_module.run_stream
+
+        def counting(seed, run_index):
+            calls.append((seed, run_index))
+            return real_run_stream(seed, run_index)
+
+        monkeypatch.setattr(simulation_module, "run_stream", counting)
+        config = SweepConfig(
+            n_values=(10, 20), p_values=(0.1, 0.5, 0.9), epsilon_values=(0.5, 1.0), runs=7, seed=3
+        )
+        assert len(run_sweep(config).cells) == 12
+        assert calls == [(3, r) for r in range(7)] * 2
+
+    def test_cells_match_independent_run_cell_calls(self):
+        config = SweepConfig(
+            n_values=(1, 30), p_values=(0.0, 0.4, 1.0), epsilon_values=(0.05, 0.7, 3.0),
+            runs=300, seed=2**64 - 1,
+        )
+        expected = tuple(
+            run_cell(n, p, eps, runs=300, seed=2**64 - 1)
+            for n in (1, 30) for p in (0.0, 0.4, 1.0) for eps in (0.05, 0.7, 3.0)
+        )
+        assert run_sweep(config).cells == expected
+
+    @pytest.mark.parametrize("epsilon", [0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 1e-3, 7.3])
+    def test_rescaled_unit_noise_is_a_draw_at_epsilon(self, epsilon):
+        # The sweep draws noise once at epsilon = 1 and rescales it per cell.
+        rng = np.random.default_rng(5)
+        uniforms = np.concatenate([rng.random(2000), [2.0**-53, 0.5, 1.0 - 2.0**-53]])
+        unit, level = calibrate(1.0), calibrate(epsilon)
+        for u in uniforms:
+            direct = sample_noise(level, StubStream(u))
+            assert sample_noise(unit, StubStream(u)) * level.scale_b == direct
 
     def test_default_grid_shape(self):
         config = SweepConfig()
@@ -169,7 +240,15 @@ class TestRunSweep:
             {"p_values": ()},
             {"epsilon_values": ()},
             {"runs": 0},
-            {"shards": 0},
+            {"seed": -1},
+            {"seed": 2**64},
+            {"seed": 2.5},
+            {"runs": 2.5},
+            {"n_values": (100, 0)},
+            {"n_values": (10.5,)},
+            {"p_values": (0.3, 1.5)},
+            {"epsilon_values": (1.0, 0.0)},
+            {"epsilon_values": (math.inf,)},
         ],
     )
     def test_config_validation(self, kwargs):
@@ -178,10 +257,9 @@ class TestRunSweep:
 
 
 class TestWriteCsv:
-    def make_result(self, shards=1):
+    def make_result(self):
         config = SweepConfig(
-            n_values=(100,), p_values=(0.3,), epsilon_values=(0.5, 1.0),
-            runs=300, seed=8, shards=shards,
+            n_values=(100,), p_values=(0.3,), epsilon_values=(0.5, 1.0), runs=300, seed=8
         )
         return run_sweep(config)
 
@@ -209,13 +287,6 @@ class TestWriteCsv:
         assert float(row[7]) == cell.prob_bayes_better
         assert int(row[10]) == cell.runs
         assert int(row[11]) == cell.seed
-
-    def test_identical_bytes_across_shardings(self):
-        one = io.StringIO()
-        write_csv(self.make_result(shards=1), one)
-        eight = io.StringIO()
-        write_csv(self.make_result(shards=8), eight)
-        assert one.getvalue() == eight.getvalue()
 
 
 class TestHeavyGridShape:
