@@ -39,7 +39,7 @@ class PrivacyLevel:
 
     def __post_init__(self) -> None:
         eps = float(self.epsilon)
-        if not math.isfinite(eps) or eps <= 0.0:
+        if isinstance(self.epsilon, (bool, np.bool_)) or not math.isfinite(eps) or eps <= 0.0:
             raise ValueError(f"epsilon must be a positive finite real, got {self.epsilon!r}")
         object.__setattr__(self, "epsilon", eps)
         object.__setattr__(self, "scale_b", 1.0 / eps)

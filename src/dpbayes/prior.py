@@ -34,11 +34,12 @@ class BinomialPrior:
     p: float
 
     def __post_init__(self) -> None:
+        # bool is an int subclass; True would silently mean n = 1 or p = 1.
         size = int(self.n)
-        if size != self.n or size < 1:
+        if isinstance(self.n, (bool, np.bool_)) or size != self.n or size < 1:
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
         prob = float(self.p)
-        if math.isnan(prob) or not 0.0 <= prob <= 1.0:
+        if isinstance(self.p, (bool, np.bool_)) or math.isnan(prob) or not 0.0 <= prob <= 1.0:
             raise ValueError(f"p must lie in [0, 1], got {self.p!r}")
         object.__setattr__(self, "n", size)
         object.__setattr__(self, "p", prob)

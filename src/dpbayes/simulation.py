@@ -64,7 +64,7 @@ _UNIT_LEVEL = calibrate(1.0)
 
 def _check_seed(seed) -> int:
     value = int(seed)
-    if value != seed or not 0 <= value < _SEED_LIMIT:
+    if isinstance(seed, (bool, np.bool_)) or value != seed or not 0 <= value < _SEED_LIMIT:
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     return value
 
@@ -105,7 +105,7 @@ class SweepConfig:
                 raise ValueError(f"{name} must be non-empty")
             object.__setattr__(self, name, values)
         runs = int(self.runs)
-        if runs != self.runs or runs < 1:
+        if isinstance(self.runs, (bool, np.bool_)) or runs != self.runs or runs < 1:
             raise ValueError(f"runs must be an integer of at least 1, got {self.runs!r}")
         object.__setattr__(self, "runs", runs)
         object.__setattr__(self, "seed", _check_seed(self.seed))

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import math
+import subprocess
+import sys
+from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -27,6 +31,61 @@ def oracle_posterior_mean(n, p, epsilon, y):
     ]
     total = sum(weights)
     return sum(k * w for k, w in enumerate(weights)) / total
+
+
+# Decimal digits for the exact oracle; its own rounding stays below 1e-40.
+ORACLE_DIGITS = 50
+
+
+def _oracle_context(ctx):
+    ctx.prec = ORACLE_DIGITS
+    # e^{-epsilon * 1e6} must not underflow to zero.
+    ctx.Emax, ctx.Emin = MAX_EMAX, MIN_EMIN
+
+
+@lru_cache(maxsize=None)
+def exact_masses(n, p):
+    """Binomial(n, p) masses in decimal arithmetic from exact integer coefficients."""
+    with localcontext() as ctx:
+        _oracle_context(ctx)
+        prob = Decimal(p)  # the float's exact binary value
+        coefficient = 1  # math.comb(n, k), stepped exactly in integers
+        masses = []
+        for k in range(n + 1):
+            masses.append(ctx.create_decimal(coefficient) * prob**k * (1 - prob) ** (n - k))
+            coefficient = coefficient * (n - k) // (k + 1)
+        return masses
+
+
+def exact_posterior_mean(n, p, epsilon, y):
+    """Posterior mean in 50-digit linear-space arithmetic, independent of the kernel."""
+    with localcontext() as ctx:
+        _oracle_context(ctx)
+        eps, response = Decimal(epsilon), Decimal(y)
+        step = (-eps).exp()
+        last_left = min(max(math.floor(y), -1), n)  # counts k <= last_left lie at or below y
+        # exp(-eps*|y - k|), stepped outward by factors exp(-eps) from both sides of y.
+        likelihood = [Decimal(0)] * (n + 1)
+        factor = (-eps * (response - last_left)).exp()
+        for k in range(last_left, -1, -1):
+            likelihood[k] = factor
+            factor *= step
+        factor = (-eps * (last_left + 1 - response)).exp()
+        for k in range(last_left + 1, n + 1):
+            likelihood[k] = factor
+            factor *= step
+        weights = [m * f for m, f in zip(exact_masses(n, p), likelihood)]
+        return float(sum(k * w for k, w in enumerate(weights)) / sum(weights))
+
+
+def oracle_responses(n):
+    """Integers, half-integers, block edges, the ends of [0, n] and far outliers."""
+    width = -(-(n + 1) // estimators_module._BLOCKS)
+    edge = width * ((n + 1) // width // 2)
+    return sorted({
+        -1e6, -1.0, -0.5, 0.0, 0.5, 1.0, width - 1.0, float(width), edge - 0.5, float(edge),
+        edge + 0.25, n / 2, n - 1.0, n - 0.5, float(n), n + 0.5, 1e6,
+    })
 
 
 class TestNaive:
@@ -171,6 +230,36 @@ class TestBayesEstimate:
         assert 0.0 <= value <= 30.0
 
 
+class TestExactOracle:
+    @pytest.mark.parametrize("p", [1e-9, 0.3, 1.0 - 1e-9])
+    @pytest.mark.parametrize("n", [1, 2, 1000, 1023, 1024, 1025, 10_000])
+    def test_matches_decimal_oracle(self, n, p):
+        # Block width is 1 up to n = 1023 and first changes at n = 1024.
+        ys = oracle_responses(n)
+        misses = []
+        for epsilon in (0.05, 2.0, 5.0):
+            got = bayes_estimate_batch(BinomialPrior(n=n, p=p), calibrate(epsilon), ys)
+            for y, value in zip(ys, got):
+                want = exact_posterior_mean(n, p, epsilon, y)
+                if not math.isclose(value, want, rel_tol=1e-9, abs_tol=0.0):
+                    misses.append((epsilon, y, value, want))
+        assert not misses
+
+    def test_two_point_tail_keeps_relative_accuracy(self):
+        # The mean is about 1e-9 here; 1 - expit(x) would lose most of its digits.
+        value = bayes_estimate(BinomialPrior(n=1, p=1e-9), calibrate(1.0), 0.0)
+        want = exact_posterior_mean(1, 1e-9, 1.0, 0.0)
+        assert value == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("n, p, epsilon", [(30, 0.3, 0.1), (300, 0.02, 1.0), (300, 0.7, 5.0)])
+    def test_agrees_with_full_posterior(self, n, p, epsilon):
+        prior, level = BinomialPrior(n=n, p=p), calibrate(epsilon)
+        k = np.arange(n + 1, dtype=np.float64)
+        for y in (-40.0, -1.0, 0.0, 2.5, n * p, n * p + 0.5, n - 1.0, float(n), n + 40.0):
+            mean = k @ posterior(prior, level, y)
+            assert bayes_estimate(prior, level, y) == pytest.approx(mean, rel=1e-12, abs=0.0)
+
+
 class TestBatch:
     def test_matches_scalar_bitwise(self):
         prior = BinomialPrior(n=100, p=0.3)
@@ -180,14 +269,43 @@ class TestBatch:
         scalar = np.array([bayes_estimate(prior, level, y) for y in ys])
         assert np.array_equal(batch, scalar)
 
-    def test_chunking_is_invisible(self, monkeypatch):
-        prior = BinomialPrior(n=50, p=0.5)
+    @pytest.mark.parametrize("n", [50, 10_000])
+    def test_batching_is_invisible(self, n):
+        # At n = 10**4 blocks are 10 counts wide and a slice holds 26214 rows,
+        # so the splits below cut across the first slice boundary.
+        prior = BinomialPrior(n=n, p=0.3)
         level = calibrate(0.5)
-        ys = np.linspace(-10.0, 60.0, 1000)
+        rng = np.random.default_rng(5)
+        ys = np.concatenate([
+            rng.uniform(-20.0, n + 20.0, 30_000),
+            np.arange(-1.0, n + 1.5, 0.5)[:: max(1, n // 100)],
+        ])
         full = bayes_estimate_batch(prior, level, ys)
-        monkeypatch.setattr(estimators_module, "_CHUNK_ROWS", 7)
-        chunked = bayes_estimate_batch(prior, level, ys)
-        assert np.array_equal(full, chunked)
+        boundary = estimators_module._SLICE_ELEMENTS // -(-(n + 1) // estimators_module._BLOCKS)
+        cuts = [c for c in (0, 1, 17, boundary - 1, boundary + 2) if c < ys.size] + [ys.size]
+        pieces = [bayes_estimate_batch(prior, level, ys[a:b]) for a, b in zip(cuts, cuts[1:])]
+        assert np.array_equal(np.concatenate(pieces), full)
+        order = rng.permutation(ys.size)
+        assert np.array_equal(bayes_estimate_batch(prior, level, ys[order]), full[order])
+        assert np.array_equal([bayes_estimate(prior, level, y) for y in ys[:200]], full[:200])
+
+    @pytest.mark.parametrize("n", [10_000, 100_000])
+    def test_memory_stays_bounded(self, n):
+        # The dense kernel needed rows x (n+1) doubles per chunk: about 1 GB
+        # at n = 10**4.  Measured in a fresh process, as growth of peak RSS.
+        pytest.importorskip("resource")
+        code = (
+            "import resource, numpy as np\n"
+            "from dpbayes import BinomialPrior, bayes_estimate_batch, calibrate\n"
+            f"ys = np.random.default_rng(0).normal(0.3 * {n}, 50.0, 100_000)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            f"bayes_estimate_batch(BinomialPrior({n}, 0.3), calibrate(0.1), ys)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+        )
+        child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                               check=True, timeout=120)
+        growth_mb = int(child.stdout) / 1024  # ru_maxrss is in KiB on Linux
+        assert growth_mb < 64
 
     def test_rejects_bad_input(self):
         prior = BinomialPrior(n=10, p=0.5)
@@ -206,17 +324,3 @@ class TestBatch:
         )
         with pytest.raises(FloatingPointError, match="row 0"):
             bayes_estimate_batch(prior, calibrate(1.0), np.array([0.0, 1.0, 2.0, 3.0]))
-
-    def test_row_offset_names_the_global_row(self, monkeypatch):
-        # The offset is what turns a chunk-local row into a run index.
-        prior = BinomialPrior(n=4, p=0.5)
-        monkeypatch.setattr(
-            estimators_module,
-            "log_mass_vector",
-            lambda _: np.full(5, -np.inf),
-        )
-        with pytest.raises(FloatingPointError, match="row 5"):
-            estimators_module._posterior_weights(
-                prior, calibrate(1.0), np.array([2.0]), row_offset=5
-            )
-

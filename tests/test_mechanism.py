@@ -48,6 +48,13 @@ class TestCalibrate:
         with pytest.raises(ValueError):
             calibrate(epsilon)
 
+    @pytest.mark.parametrize("epsilon", [True, np.True_])
+    def test_rejects_bools(self, epsilon):
+        with pytest.raises(ValueError):
+            calibrate(epsilon)
+        with pytest.raises(ValueError):
+            PrivacyLevel(epsilon)
+
     def test_direct_construction_validates_too(self):
         with pytest.raises(ValueError):
             PrivacyLevel(-0.5)

@@ -29,6 +29,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             BinomialPrior(n=10, p=p)
 
+    @pytest.mark.parametrize("n, p", [(True, 0.3), (np.True_, 0.3), (10, False), (10, np.True_)])
+    def test_rejects_bools(self, n, p):
+        # True == 1 would otherwise pass as n = 1 or p = 1.
+        with pytest.raises(ValueError):
+            BinomialPrior(n=n, p=p)
+
     def test_accepts_degenerate_p(self):
         assert BinomialPrior(n=10, p=0.0).p == 0.0
         assert BinomialPrior(n=10, p=1.0).p == 1.0

@@ -255,6 +255,29 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             SweepConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"n_values": (True,)},
+            {"p_values": (False,)},
+            {"epsilon_values": (True,)},
+            {"runs": True},
+            {"seed": False},
+            {"seed": np.False_},
+        ],
+    )
+    def test_config_rejects_bools(self, kwargs):
+        # Each of these used to run as n = 1, p = 0, epsilon = 1, one run or seed 0.
+        with pytest.raises(ValueError):
+            SweepConfig(**{"n_values": (10,), "p_values": (0.3,), "epsilon_values": (1.0,),
+                           "runs": 5, "seed": 0, **kwargs})
+
+    def test_run_cell_rejects_bools(self):
+        with pytest.raises(ValueError):
+            run_cell(True, 0.3, True, True, False)
+        with pytest.raises(ValueError):
+            run_stream(True, 0)
+
 
 class TestWriteCsv:
     def make_result(self):
