@@ -154,18 +154,28 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_query(args) -> int:
+    # Every usage error surfaces before the release, so none spends budget.
     level = calibrate(args.eps)
     pred = Predicate.parse(args.where)
     with open(args.data, newline="") as stream:
         db = load_records(stream)
-    rng = np.random.default_rng(_resolve_seed(args.seed))
-    result = noisy_count_query(db, pred, level, rng)
-    print(public_answer(result))
+    prior = None
     if args.estimate:
         if args.p is None:
             raise ValueError("--estimate requires --p")
         n_known = args.n_known if args.n_known is not None else db.size
         prior = BinomialPrior(n=n_known, p=args.p)
+    seed = _resolve_seed(args.seed)
+    rng = np.random.default_rng(seed)
+    if seed is not None:
+        print(
+            "warning: this seeded release is reproducible; "
+            "anyone who knows the seed can subtract the noise",
+            file=sys.stderr,
+        )
+    result = noisy_count_query(db, pred, level, rng)
+    print(public_answer(result))
+    if prior is not None:
         corrected = bayes_estimate(prior, level, result.noisy_value)
         print(json.dumps({"bayes_estimate": corrected, "n": prior.n, "p": prior.p}))
     return 0

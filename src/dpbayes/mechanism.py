@@ -103,9 +103,20 @@ def sample_noise(level: PrivacyLevel, rng) -> float:
     return -level.scale_b * sign * math.log1p(-2.0 * abs(d))
 
 
+def _check_integer(value, what: str) -> int:
+    # bool is an int subclass, and int() truncates: True or 1.7 would pass as 1.
+    try:
+        number = int(value)
+    except (ValueError, OverflowError):
+        number = None
+    if isinstance(value, (bool, np.bool_)) or number is None or number != value:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return number
+
+
 def _check_db_size(n) -> int:
-    size = int(n)
-    if size != n or size < 1:
+    size = _check_integer(n, "db size")
+    if size < 1:
         raise ValueError(f"db size must be a positive integer, got {n!r}")
     return size
 
@@ -126,8 +137,8 @@ def out_of_range_probability(a: int, n: int, level: PrivacyLevel) -> float:
         ValueError: if ``n < 1`` or ``a`` lies outside ``[0, n]``.
     """
     size = _check_db_size(n)
-    count = int(a)
-    if count != a or not 0 <= count <= size:
+    count = _check_integer(a, "true count")
+    if not 0 <= count <= size:
         raise ValueError(f"true count must be an integer in [0, {size}], got {a!r}")
     return 0.5 * (math.exp(-level.epsilon * count) + math.exp(level.epsilon * (count - size)))
 
@@ -190,9 +201,9 @@ def dp_ratio_check(level: PrivacyLevel, a1: int, a2: int, grid) -> bool:
         True when the bound holds on the whole grid.
 
     Raises:
-        ValueError: if the counts are not neighbours.
+        ValueError: if the counts are not integers or not neighbours.
     """
-    if abs(int(a1) - int(a2)) != 1:
+    if abs(_check_integer(a1, "a1") - _check_integer(a2, "a2")) != 1:
         raise ValueError(f"counts must differ by exactly 1, got {a1!r} and {a2!r}")
     ys = np.asarray(grid, dtype=np.float64)
     f1 = laplace_density(ys - float(a1), level)

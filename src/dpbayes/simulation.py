@@ -2,10 +2,13 @@
 
 Each run draws a true count from the binomial population model, perturbs it
 with calibrated Laplace noise, and scores both estimators by absolute error.
-Every run owns a counter-based random stream keyed by ``(seed, run_index)``.
-A sweep draws each run once per n and scores it in every (p, epsilon) cell,
-so cells are compared under common random numbers and a cell's result does
-not depend on the grid around it.
+Every run owns a counter-based random stream keyed by ``(seed, run_index)``;
+:func:`run_stream` is its definition.  A sweep draws each run once per n and
+scores it in every (p, epsilon) cell, so cells are compared under common
+random numbers and a cell's result does not depend on the grid around it.
+To draw, the sweep re-keys one Philox to ``(seed, run_index)`` per run
+instead of building a generator per run; the numbers equal ``run_stream``'s
+bitwise.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 
 from .estimators import bayes_estimate_batch
 from .mechanism import PrivacyLevel, calibrate, sample_noise
-from .prior import BinomialPrior, sample_true_counts
+from .prior import BinomialPrior
 
 __all__ = [
     "DEFAULT_N_VALUES",
@@ -60,6 +63,11 @@ _SEED_LIMIT = 1 << 64
 
 # Every run draws its noise once, at epsilon = 1; a cell rescales that draw.
 _UNIT_LEVEL = calibrate(1.0)
+
+# Count uniforms are drawn into one block of at most this many doubles
+# (512 KB), or one run's n when that is larger, and thresholded a block of
+# runs at a time.
+_BLOCK_DOUBLES = 1 << 16
 
 
 def _check_seed(seed) -> int:
@@ -161,14 +169,35 @@ def _draw_runs(n: int, p_values: tuple, runs: int, seed: int) -> tuple[np.ndarra
     """Every run at one n, drawn once: ``(true_counts[p index, run], unit_noise[run])``.
 
     Run ``r`` reads its stream in a fixed order: ``n`` count uniforms,
-    thresholded at every ``p``, then one noise draw at epsilon = 1.
+    thresholded at every ``p``, then one noise draw at epsilon = 1.  One
+    Philox is re-keyed to ``(seed, r)`` for each run, which yields the same
+    numbers as ``run_stream(seed, r)`` without building a generator per run.
     """
+    bit_generator = np.random.Philox(key=0)  # re-keyed before every run
+    stream = np.random.Generator(bit_generator)
+    # The state Philox(key=[seed, run_index]) starts from: counter zero, empty buffer.
+    key = [seed, 0]
+    start = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    thresholds = np.asarray(p_values, dtype=np.float64)[:, None, None]
+    rows = min(runs, max(1, _BLOCK_DOUBLES // n))
+    block = np.empty((rows, n), dtype=np.float64)
     true_counts = np.empty((len(p_values), runs), dtype=np.float64)
     unit_noise = np.empty(runs, dtype=np.float64)
-    for run_index in range(runs):
-        stream = run_stream(seed, run_index)
-        true_counts[:, run_index] = sample_true_counts(n, p_values, stream)
-        unit_noise[run_index] = sample_noise(_UNIT_LEVEL, stream)
+    for first in range(0, runs, rows):
+        count = min(rows, runs - first)
+        for row in range(count):
+            key[1] = first + row
+            bit_generator.state = start
+            stream.random(out=block[row])
+            unit_noise[first + row] = sample_noise(_UNIT_LEVEL, stream)
+        true_counts[:, first : first + count] = (block[:count] < thresholds).sum(axis=2)
     return true_counts, unit_noise
 
 

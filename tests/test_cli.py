@@ -310,6 +310,62 @@ class TestQuery:
         assert "row 2" in err
 
 
+class TestQueryReleasePath:
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ("--estimate",),
+            ("--estimate", "--p", "1.5"),
+            ("--estimate", "--p", "0.3", "--n-known", "0"),
+        ],
+    )
+    def test_usage_error_releases_nothing(self, capsys, data_file, monkeypatch, extra):
+        calls = []
+        monkeypatch.setattr(cli_module, "noisy_count_query", lambda *args: calls.append(args))
+        code, out, err = run_cli(
+            capsys, "query", "--data", data_file, "--where", "city equals Rome",
+            "--eps", "0.1", "--seed", "3", *extra,
+        )
+        assert (code, out, calls) == (2, "", [])
+        assert "error:" in err
+
+    def test_seed_flag_warns(self, capsys, data_file):
+        code, out, err = run_cli(
+            capsys, "query", "--data", data_file, "--where", "city equals Rome",
+            "--eps", "0.1", "--seed", "7",
+        )
+        assert code == 0 and len(out.splitlines()) == 1
+        assert len(err.splitlines()) == 1
+        assert "seed" in err and "subtract" in err
+
+    def test_seed_env_warns(self, capsys, data_file, monkeypatch):
+        monkeypatch.setenv(cli_module.SEED_ENV_VAR, "7")
+        code, _, err = run_cli(
+            capsys, "query", "--data", data_file, "--where", "city equals Rome", "--eps", "0.1"
+        )
+        assert code == 0
+        assert len(err.splitlines()) == 1
+        assert "seed" in err and "subtract" in err
+
+    def test_unseeded_release_is_silent(self, capsys, data_file):
+        code, _, err = run_cli(
+            capsys, "query", "--data", data_file, "--where", "city equals Rome", "--eps", "0.1"
+        )
+        assert (code, err) == (0, "")
+
+    @pytest.mark.parametrize("extra", [(), ("--estimate", "--p", "0.6")])
+    def test_output_never_carries_the_true_count(self, capsys, tmp_path, extra):
+        path = tmp_path / "members.csv"
+        path.write_text("member\n" + "yes\n" * 1337 + "no\n" * 666)
+        code, out, err = run_cli(
+            capsys, "query", "--data", str(path), "--where", "member equals yes",
+            "--eps", "0.1", "--seed", "11", *extra,
+        )
+        assert code == 0
+        assert len(out.splitlines()) == 1 + bool(extra)
+        assert "1337" not in out and "1337" not in err
+
+
 class TestAnalyze:
     def test_widths_report(self, capsys):
         code, out, _ = run_cli(

@@ -183,6 +183,14 @@ class TestOutOfRangeProbability:
         with pytest.raises(ValueError):
             out_of_range_probability(0, 0, calibrate(0.1))
 
+    @pytest.mark.parametrize(
+        "a, n", [(True, 10), (np.True_, 10), (1, True), (1, 10.5), (math.nan, 10), (1, math.inf)]
+    )
+    def test_rejects_bools_and_non_integers(self, a, n):
+        # True used to run as a = 1 or n = 1.
+        with pytest.raises(ValueError):
+            out_of_range_probability(a, n, calibrate(1.0))
+
     def test_monte_carlo_agreement(self):
         level = calibrate(0.1)
         rng = np.random.default_rng(4321)
@@ -217,6 +225,11 @@ class TestOutOfRangeBounds:
         bounds = out_of_range_bounds(101, calibrate(0.1))
         assert 50 in bounds.argmin
         assert bounds.argmin == frozenset({50, 51})
+
+    @pytest.mark.parametrize("n", [True, np.True_, 10.5, math.inf])
+    def test_rejects_bools_and_non_integers(self, n):
+        with pytest.raises(ValueError):
+            out_of_range_bounds(n, calibrate(1.0))
 
     def test_max_exceeds_half(self):
         # Strictly above 1/2 wherever exp(-eps*n) is representable above
@@ -277,6 +290,15 @@ class TestDpRatioCheck:
             dp_ratio_check(level, 50, 50, [0.0])
         with pytest.raises(ValueError):
             dp_ratio_check(level, 50, 52, [0.0])
+
+    @pytest.mark.parametrize("a1, a2", [(0.5, 1.7), (True, 2), (1, np.False_), (1, 2.0000001)])
+    def test_rejects_bools_and_non_integers(self, a1, a2):
+        # (0.5, 1.7) used to truncate to the neighbours (0, 1) and return False.
+        with pytest.raises(ValueError):
+            dp_ratio_check(calibrate(1.0), a1, a2, [0.0, 1.0])
+
+    def test_accepts_integral_numbers(self):
+        assert dp_ratio_check(calibrate(1.0), np.int64(3), 4.0, [0.0, 3.5, 9.0])
 
     def test_detects_violation(self):
         # A mechanism twice as peaked as claimed breaks the epsilon bound.

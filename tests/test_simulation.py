@@ -59,6 +59,41 @@ class TestRunStream:
             run_cell(10, 0.3, 1.0, 50, 2**64 + 5)
 
 
+def reference_draws(n, p_values, runs, seed):
+    """Per-run loop over ``run_stream``: the draws the sweep must reproduce."""
+    true_counts = np.empty((len(p_values), runs))
+    unit_noise = np.empty(runs)
+    for run_index in range(runs):
+        stream = run_stream(seed, run_index)
+        uniforms = stream.random(n)
+        true_counts[:, run_index] = [int((uniforms < p).sum()) for p in p_values]
+        unit_noise[run_index] = sample_noise(calibrate(1.0), stream)
+    return true_counts, unit_noise
+
+
+BLOCK = simulation_module._BLOCK_DOUBLES
+
+
+class TestDrawRuns:
+    @pytest.mark.parametrize(
+        "n, runs, seed",
+        [
+            (100, BLOCK // 100 - 1, 5),  # one short of a full block
+            (100, BLOCK // 100, 5),  # exactly one block
+            (100, BLOCK // 100 + 1, 5),  # one run into a second block
+            (1, 3, 5),
+            (BLOCK + 1, 3, 5),  # wider than the block budget: one run a block
+            (37, 50, 2**64 - 1),
+        ],
+    )
+    def test_matches_run_stream_loop(self, n, runs, seed):
+        p_values = (0.0, 0.02, 0.3, 0.5, 0.98, 1.0)
+        true_counts, unit_noise = simulation_module._draw_runs(n, p_values, runs, seed)
+        expected_counts, expected_noise = reference_draws(n, p_values, runs, seed)
+        assert true_counts.tobytes() == expected_counts.tobytes()
+        assert unit_noise.tobytes() == expected_noise.tobytes()
+
+
 class TestAnalyticNaiveError:
     @pytest.mark.parametrize("epsilon, expected", [(0.1, 10.0), (0.5, 2.0), (1.0, 1.0)])
     def test_closed_form(self, epsilon, expected):
@@ -193,19 +228,26 @@ class TestRunSweep:
             run_sweep(SweepConfig(n_values=(10,), p_values=(0.3,), epsilon_values=(1.0,), runs=5))
 
     def test_draws_each_run_once_per_n(self, monkeypatch):
-        calls = []
-        real_run_stream = simulation_module.run_stream
+        keys = []
+        base = np.random.Philox
 
-        def counting(seed, run_index):
-            calls.append((seed, run_index))
-            return real_run_stream(seed, run_index)
+        class Philox(base):
+            # Named like its base: numpy checks a state's "bit_generator" against it.
+            @property
+            def state(self):
+                return base.state.__get__(self)
 
-        monkeypatch.setattr(simulation_module, "run_stream", counting)
+            @state.setter
+            def state(self, value):
+                keys.append(tuple(int(part) for part in value["state"]["key"]))
+                base.state.__set__(self, value)
+
+        monkeypatch.setattr(np.random, "Philox", Philox)
         config = SweepConfig(
             n_values=(10, 20), p_values=(0.1, 0.5, 0.9), epsilon_values=(0.5, 1.0), runs=7, seed=3
         )
         assert len(run_sweep(config).cells) == 12
-        assert calls == [(3, r) for r in range(7)] * 2
+        assert keys == [(3, r) for r in range(7)] * 2
 
     def test_cells_match_independent_run_cell_calls(self):
         config = SweepConfig(
