@@ -103,22 +103,22 @@ def sample_noise(level: PrivacyLevel, rng) -> float:
     return -level.scale_b * sign * math.log1p(-2.0 * abs(d))
 
 
-def _check_integer(value, what: str) -> int:
-    # bool is an int subclass, and int() truncates: True or 1.7 would pass as 1.
+def _check_integer(value, what: str, minimum: int | None = None) -> int:
+    """The package's one integer check for values taken at its edges.
+
+    Returns ``value`` as an int.  Raises ``ValueError`` for bools (an int
+    subclass: True would pass as 1), non-integral values (``int()``
+    truncates 1.7 to 1), NaN and infinities, and values below ``minimum``.
+    """
     try:
         number = int(value)
     except (ValueError, OverflowError):
         number = None
     if isinstance(value, (bool, np.bool_)) or number is None or number != value:
         raise ValueError(f"{what} must be an integer, got {value!r}")
+    if minimum is not None and number < minimum:
+        raise ValueError(f"{what} must be an integer of at least {minimum}, got {value!r}")
     return number
-
-
-def _check_db_size(n) -> int:
-    size = _check_integer(n, "db size")
-    if size < 1:
-        raise ValueError(f"db size must be a positive integer, got {n!r}")
-    return size
 
 
 def out_of_range_probability(a: int, n: int, level: PrivacyLevel) -> float:
@@ -136,7 +136,7 @@ def out_of_range_probability(a: int, n: int, level: PrivacyLevel) -> float:
     Raises:
         ValueError: if ``n < 1`` or ``a`` lies outside ``[0, n]``.
     """
-    size = _check_db_size(n)
+    size = _check_integer(n, "db size", minimum=1)
     count = _check_integer(a, "true count")
     if not 0 <= count <= size:
         raise ValueError(f"true count must be an integer in [0, {size}], got {a!r}")
@@ -167,7 +167,7 @@ def out_of_range_bounds(n: int, level: PrivacyLevel) -> OutOfRangeBounds:
         n: database size, a positive integer.
         level: calibrated privacy level.
     """
-    size = _check_db_size(n)
+    size = _check_integer(n, "db size", minimum=1)
     max_prob = 0.5 * (1.0 + math.exp(-level.epsilon * size))
     if size % 2 == 0:
         argmin = frozenset({size // 2})

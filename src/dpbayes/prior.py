@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gammaln
 
-from .mechanism import PrivacyLevel
+from .mechanism import PrivacyLevel, _check_integer
 
 __all__ = [
     "BinomialPrior",
@@ -34,10 +34,8 @@ class BinomialPrior:
     p: float
 
     def __post_init__(self) -> None:
-        # bool is an int subclass; True would silently mean n = 1 or p = 1.
-        size = int(self.n)
-        if isinstance(self.n, (bool, np.bool_)) or size != self.n or size < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
+        size = _check_integer(self.n, "n", minimum=1)
+        # bool is an int subclass; True would silently mean p = 1.
         prob = float(self.p)
         if isinstance(self.p, (bool, np.bool_)) or math.isnan(prob) or not 0.0 <= prob <= 1.0:
             raise ValueError(f"p must lie in [0, 1], got {self.p!r}")

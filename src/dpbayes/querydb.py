@@ -1,6 +1,7 @@
 """Minimal statistical database: records, predicates, true and noisy counts.
 
-Records are flat string-valued rows loaded from comma-separated text.  The
+Records are flat string-valued rows loaded from comma-separated text and
+stored by column, so a count is read from per-field value counts.  The
 trusted side evaluates a predicate to a true count and releases only the
 Laplace-perturbed value; :func:`public_answer` is the single serialisation
 point for what crosses to the untrusted side.
@@ -11,7 +12,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+from array import array
 from dataclasses import dataclass
+from itertools import islice
+
+import numpy as np
 
 from .mechanism import PrivacyLevel, sample_noise
 
@@ -27,6 +32,9 @@ __all__ = [
 ]
 
 RELATIONS = ("equals", "not-equals", "in-set")
+
+# load_records transposes and encodes this many rows at a time.
+_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -74,26 +82,77 @@ class Predicate:
         return value in self.values
 
 
-@dataclass(frozen=True)
 class RecordSet:
-    """Immutable collection of records (field name -> string value)."""
+    """Immutable records (field name -> string value), stored by column.
 
-    records: tuple
+    Each field keeps its distinct values and one int32 code per record,
+    -1 where the record lacks the field (a missing key or a ``None`` value,
+    which no predicate matches).  The number of records holding each value
+    is counted once, at construction, so :func:`count_query` costs
+    O(values in the predicate) instead of a scan of the rows.
+    """
+
+    __slots__ = ("_size", "_columns", "_counts")
+
+    def __init__(self, records):
+        records = tuple(records)
+        columns = {}
+        for name in dict.fromkeys(name for record in records for name in record):
+            index = {}
+            codes = [-1 if record.get(name) is None else index.setdefault(record[name], len(index))
+                     for record in records]
+            columns[name] = (tuple(index), np.array(codes, dtype=np.int32))
+        self._encode(len(records), columns)
+
+    @classmethod
+    def _from_columns(cls, size: int, columns: dict) -> "RecordSet":
+        db = cls.__new__(cls)
+        db._encode(size, columns)
+        return db
+
+    def _encode(self, size: int, columns: dict) -> None:
+        # columns: field -> (distinct values, int32 code per record).
+        self._size = size
+        self._columns = columns
+        self._counts = {}
+        for name, (values, codes) in columns.items():
+            counts = np.bincount(codes[codes >= 0]).tolist()
+            self._counts[name] = (sum(counts), dict(zip(values, counts)))
 
     @property
     def size(self) -> int:
-        return len(self.records)
+        return self._size
+
+    @property
+    def records(self) -> tuple:
+        """The records as dicts, decoded from the columns on every access."""
+        decoded = tuple({} for _ in range(self._size))
+        for name, (values, codes) in self._columns.items():
+            for record, code in zip(decoded, codes.tolist()):
+                if code >= 0:
+                    record[name] = values[code]
+        return decoded
+
+
+def _checked_rows(reader, width: int):
+    for row in reader:
+        if len(row) != width:
+            raise ValueError(f"row {reader.line_num}: expected {width} fields, got {len(row)}")
+        yield row
 
 
 def load_records(source) -> RecordSet:
     """Read comma-separated rows, header first, into a :class:`RecordSet`.
 
     Accepts an open text stream or a string holding the full content.
-    Standard doubled-quote escaping applies.
+    Standard doubled-quote escaping applies.  Cells are encoded column by
+    column as they are read, a block of rows at a time; no dict per row is
+    built.
 
     Raises:
-        ValueError: naming the offending row, on a missing or empty header
-            or on a row whose field count differs from the header's.
+        ValueError: naming the offending row, on a missing or empty header,
+            a field named twice in the header, or a row whose field count
+            differs from the header's.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
@@ -104,14 +163,21 @@ def load_records(source) -> RecordSet:
         raise ValueError("row 1: missing header") from None
     if all(name == "" for name in header):
         raise ValueError("row 1: empty header")
-    records = []
-    for row in reader:
-        if len(row) != len(header):
-            raise ValueError(
-                f"row {reader.line_num}: expected {len(header)} fields, got {len(row)}"
-            )
-        records.append(dict(zip(header, row)))
-    return RecordSet(records=tuple(records))
+    for position, name in enumerate(header):
+        if name in header[:position]:
+            raise ValueError(f"row 1: field {name!r} named twice")
+    indexes = [{} for _ in header]
+    codes = [array("i") for _ in header]
+    rows = _checked_rows(reader, len(header))
+    while block := list(islice(rows, _BLOCK_ROWS)):
+        for index, column_codes, column in zip(indexes, codes, zip(*block)):
+            for value in dict.fromkeys(column):
+                if value not in index:
+                    index[value] = len(index)
+            column_codes.extend(map(index.__getitem__, column))
+    columns = {name: (tuple(index), np.asarray(column_codes, dtype=np.int32))
+               for name, index, column_codes in zip(header, indexes, codes)}
+    return RecordSet._from_columns(len(codes[0]), columns)
 
 
 @dataclass(frozen=True)
@@ -124,8 +190,16 @@ class QueryResult:
 
 
 def count_query(db: RecordSet, pred: Predicate) -> int:
-    """Number of records matching the predicate; unknown fields match nothing."""
-    return sum(1 for record in db.records if pred.matches(record))
+    """Number of records matching the predicate; unknown fields match nothing.
+
+    Read from the per-field value counts in O(values in the predicate).  The
+    definition it must equal is ``sum(pred.matches(r) for r in db.records)``.
+    """
+    present, counts = db._counts.get(pred.field, (0, {}))
+    if pred.relation == "not-equals":
+        return present - counts.get(pred.values[0], 0)
+    # A value listed twice in an in-set still matches each record once.
+    return sum(counts.get(value, 0) for value in set(pred.values))
 
 
 def noisy_count_query(db: RecordSet, pred: Predicate, level: PrivacyLevel, rng) -> QueryResult:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import bayes_estimate_batch
-from .mechanism import PrivacyLevel, calibrate, sample_noise
+from .mechanism import PrivacyLevel, _check_integer, calibrate, sample_noise
 from .prior import BinomialPrior
 
 __all__ = [
@@ -71,8 +71,8 @@ _BLOCK_DOUBLES = 1 << 16
 
 
 def _check_seed(seed) -> int:
-    value = int(seed)
-    if isinstance(seed, (bool, np.bool_)) or value != seed or not 0 <= value < _SEED_LIMIT:
+    value = _check_integer(seed, "seed")
+    if not 0 <= value < _SEED_LIMIT:
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     return value
 
@@ -112,10 +112,7 @@ class SweepConfig:
             if not values:
                 raise ValueError(f"{name} must be non-empty")
             object.__setattr__(self, name, values)
-        runs = int(self.runs)
-        if isinstance(self.runs, (bool, np.bool_)) or runs != self.runs or runs < 1:
-            raise ValueError(f"runs must be an integer of at least 1, got {self.runs!r}")
-        object.__setattr__(self, "runs", runs)
+        object.__setattr__(self, "runs", _check_integer(self.runs, "runs", minimum=1))
         object.__setattr__(self, "seed", _check_seed(self.seed))
 
 

@@ -329,6 +329,17 @@ class TestQueryReleasePath:
         assert (code, out, calls) == (2, "", [])
         assert "error:" in err
 
+    def test_duplicate_header_releases_nothing(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "twice.csv"
+        path.write_text("city,plan,city\nRome,basic,Milan\n")
+        calls = []
+        monkeypatch.setattr(cli_module, "noisy_count_query", lambda *args: calls.append(args))
+        code, out, err = run_cli(
+            capsys, "query", "--data", str(path), "--where", "city equals Rome", "--eps", "0.1"
+        )
+        assert (code, out, calls) == (2, "", [])
+        assert "row 1" in err and "'city'" in err
+
     def test_seed_flag_warns(self, capsys, data_file):
         code, out, err = run_cli(
             capsys, "query", "--data", data_file, "--where", "city equals Rome",

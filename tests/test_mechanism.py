@@ -191,6 +191,13 @@ class TestOutOfRangeProbability:
         with pytest.raises(ValueError):
             out_of_range_probability(a, n, calibrate(1.0))
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite(self, value):
+        with pytest.raises(ValueError):
+            out_of_range_probability(value, 10, calibrate(1.0))
+        with pytest.raises(ValueError):
+            out_of_range_probability(1, value, calibrate(1.0))
+
     def test_monte_carlo_agreement(self):
         level = calibrate(0.1)
         rng = np.random.default_rng(4321)
@@ -228,6 +235,11 @@ class TestOutOfRangeBounds:
 
     @pytest.mark.parametrize("n", [True, np.True_, 10.5, math.inf])
     def test_rejects_bools_and_non_integers(self, n):
+        with pytest.raises(ValueError):
+            out_of_range_bounds(n, calibrate(1.0))
+
+    @pytest.mark.parametrize("n", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite(self, n):
         with pytest.raises(ValueError):
             out_of_range_bounds(n, calibrate(1.0))
 
@@ -296,6 +308,13 @@ class TestDpRatioCheck:
         # (0.5, 1.7) used to truncate to the neighbours (0, 1) and return False.
         with pytest.raises(ValueError):
             dp_ratio_check(calibrate(1.0), a1, a2, [0.0, 1.0])
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite(self, value):
+        with pytest.raises(ValueError):
+            dp_ratio_check(calibrate(1.0), value, 2, [0.0, 1.0])
+        with pytest.raises(ValueError):
+            dp_ratio_check(calibrate(1.0), 1, value, [0.0, 1.0])
 
     def test_accepts_integral_numbers(self):
         assert dp_ratio_check(calibrate(1.0), np.int64(3), 4.0, [0.0, 3.5, 9.0])

@@ -35,6 +35,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             BinomialPrior(n=n, p=p)
 
+    @pytest.mark.parametrize("n", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_n(self, n):
+        # int(inf) raises OverflowError, which used to escape unconverted.
+        with pytest.raises(ValueError):
+            BinomialPrior(n=n, p=0.3)
+
     def test_accepts_degenerate_p(self):
         assert BinomialPrior(n=10, p=0.0).p == 0.0
         assert BinomialPrior(n=10, p=1.0).p == 1.0

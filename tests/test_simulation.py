@@ -58,6 +58,11 @@ class TestRunStream:
         with pytest.raises(ValueError):
             run_cell(10, 0.3, 1.0, 50, 2**64 + 5)
 
+    @pytest.mark.parametrize("seed", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_seeds(self, seed):
+        with pytest.raises(ValueError):
+            run_stream(seed, 0)
+
 
 def reference_draws(n, p_values, runs, seed):
     """Per-run loop over ``run_stream``: the draws the sweep must reproduce."""
@@ -313,6 +318,16 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             SweepConfig(**{"n_values": (10,), "p_values": (0.3,), "epsilon_values": (1.0,),
                            "runs": 5, "seed": 0, **kwargs})
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("key", ["n_values", "runs", "seed"])
+    def test_config_rejects_non_finite(self, key, value):
+        # int(inf) raises OverflowError, which used to escape unconverted.
+        kwargs = {"n_values": (10,), "p_values": (0.3,), "epsilon_values": (1.0,), "runs": 5,
+                  "seed": 0}
+        kwargs[key] = (value,) if key == "n_values" else value
+        with pytest.raises(ValueError):
+            SweepConfig(**kwargs)
 
     def test_run_cell_rejects_bools(self):
         with pytest.raises(ValueError):
