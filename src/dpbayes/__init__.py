@@ -26,7 +26,6 @@ from .mechanism import (
 from .prior import (
     BinomialPrior,
     log_mass_vector,
-    sample_true_counts,
     uncertainty_widths,
 )
 from .querydb import (
@@ -44,7 +43,6 @@ from .simulation import (
     SweepConfig,
     SweepResult,
     run_cell,
-    run_stream,
     run_sweep,
     write_csv,
 )
@@ -75,10 +73,8 @@ __all__ = [
     "posterior",
     "public_answer",
     "run_cell",
-    "run_stream",
     "run_sweep",
     "sample_noise",
-    "sample_true_counts",
     "uncertainty_widths",
     "write_csv",
 ]

@@ -97,10 +97,19 @@ def sample_noise(level: PrivacyLevel, rng) -> float:
     u = rng.random()
     while u == 0.0 or u == 1.0:
         u = rng.random()
+    return _laplace_quantile(u, level.scale_b)
+
+
+def _laplace_quantile(u: float, scale_b: float) -> float:
+    """Laplace(0, scale_b) quantile at ``u`` in (0, 1): the package's one u -> noise step.
+
+    Scalar ``math.log1p`` on purpose: numpy's vectorised ``log1p`` can differ
+    from it in the last bit, which would change seeded releases.
+    """
     d = u - 0.5
     # (d > 0) - (d < 0) is 0 at d == 0, unlike math.copysign.
     sign = (d > 0.0) - (d < 0.0)
-    return -level.scale_b * sign * math.log1p(-2.0 * abs(d))
+    return -scale_b * sign * math.log1p(-2.0 * abs(d))
 
 
 def _check_integer(value, what: str, minimum: int | None = None) -> int:

@@ -21,7 +21,6 @@ from .mechanism import PrivacyLevel, _check_integer
 __all__ = [
     "BinomialPrior",
     "log_mass_vector",
-    "sample_true_counts",
     "uncertainty_widths",
 ]
 
@@ -74,19 +73,24 @@ def log_mass_vector(prior: BinomialPrior) -> np.ndarray:
     return _log_pmf(prior.n, prior.p)
 
 
-def sample_true_counts(n: int, p_values, rng) -> np.ndarray:
-    """Draw one Binomial(n, p) true count for every ``p`` from the same records.
+def _quantiles(prior: BinomialPrior, uniforms: np.ndarray) -> np.ndarray:
+    """Binomial(n, p) quantiles ``min{k : P(K <= k) > u}`` of uniforms in [0, 1), as floats.
 
-    Consumes exactly ``n`` uniforms from ``rng`` in record order and
-    thresholds them at every ``p``, so a record matching at ``p`` also
-    matches at any larger ``p``.  ``rng`` is a numpy ``Generator`` or
-    anything whose ``random(n)`` returns ``n`` uniforms in [0, 1).
-
-    Returns:
-        Integer array of counts, one per entry of ``p_values``.
+    Inversion (Devroye 1986, section III.2): exact marginals, and at a fixed
+    uniform the count is nondecreasing in ``p`` and in ``u``.  Uniforms below
+    1/2 are inverted on the left cumulative sums of the masses, the rest on
+    the right survival sums, ``P(K > k) < 1 - u`` with ``1 - u`` exact, so
+    upper-tail masses far below 2**-53 stay reachable.
     """
-    uniforms = rng.random(n)
-    return (uniforms < np.asarray(p_values, dtype=np.float64)[:, None]).sum(axis=1)
+    mass = np.exp(log_mass_vector(prior))
+    upper = uniforms >= 0.5
+    counts = np.empty(uniforms.shape)
+    counts[~upper] = np.searchsorted(np.cumsum(mass), uniforms[~upper], side="right")
+    # survival[i] = P(K > n - i), nondecreasing in i.
+    survival = np.concatenate([[0.0], np.cumsum(mass[:0:-1])])
+    below = np.searchsorted(survival, 1.0 - uniforms[upper], side="left")
+    counts[upper] = prior.n + 1 - below
+    return counts
 
 
 def uncertainty_widths(prior: BinomialPrior, level: PrivacyLevel) -> tuple[float, float]:

@@ -2,13 +2,14 @@
 
 Each run draws a true count from the binomial population model, perturbs it
 with calibrated Laplace noise, and scores both estimators by absolute error.
-Every run owns a counter-based random stream keyed by ``(seed, run_index)``;
-:func:`run_stream` is its definition.  A sweep draws each run once per n and
-scores it in every (p, epsilon) cell, so cells are compared under common
-random numbers and a cell's result does not depend on the grid around it.
-To draw, the sweep re-keys one Philox to ``(seed, run_index)`` per run
-instead of building a generator per run; the numbers equal ``run_stream``'s
-bitwise.
+The row rule defines every run: run ``r`` of a sweep with seed ``s`` is row
+``r`` of ``Generator(Philox(key=s)).random((runs, 2))``.  Its true count at
+every (n, p) is the Binomial(n, p) quantile of the row's first uniform, and
+its noise in every cell is the Laplace quantile of the second, drawn at
+epsilon = 1 and scaled by ``1/epsilon``.  A sweep draws once and scores the
+same runs in every cell, so cells are compared under common random numbers
+and a cell's result does not depend on the grid around it.  Philox is
+counter-based, so the rows for R runs are the first R rows for any larger R.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import bayes_estimate_batch
-from .mechanism import PrivacyLevel, _check_integer, calibrate, sample_noise
-from .prior import BinomialPrior
+from .mechanism import PrivacyLevel, _check_integer, _laplace_quantile, calibrate
+from .prior import BinomialPrior, _quantiles
 
 __all__ = [
     "DEFAULT_N_VALUES",
@@ -33,7 +34,6 @@ __all__ = [
     "CellResult",
     "CellFailure",
     "SweepResult",
-    "run_stream",
     "run_cell",
     "run_sweep",
     "write_csv",
@@ -61,34 +61,9 @@ CSV_HEADER = (
 
 _SEED_LIMIT = 1 << 64
 
-# Every run draws its noise once, at epsilon = 1; a cell rescales that draw.
-_UNIT_LEVEL = calibrate(1.0)
-
-# Count uniforms are drawn into one block of at most this many doubles
-# (512 KB), or one run's n when that is larger, and thresholded a block of
-# runs at a time.
-_BLOCK_DOUBLES = 1 << 16
-
-
-def _check_seed(seed) -> int:
-    value = _check_integer(seed, "seed")
-    if not 0 <= value < _SEED_LIMIT:
-        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
-    return value
-
-
-def run_stream(seed: int, run_index: int) -> np.random.Generator:
-    """Counter-based random stream for one run, keyed by (seed, run index).
-
-    Streams for distinct run indices are independent.  Runs with the same
-    index deliberately share a stream across grid cells, so cells are
-    compared under common random numbers.
-
-    Raises:
-        ValueError: if the seed is not an integer in [0, 2**64).
-    """
-    key = np.array([_check_seed(seed), run_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+# The noise uniform 0.0 has no Laplace quantile; it stands for the smallest
+# positive uniform, 2**-53, which gives unit noise -52*log(2).
+_SMALLEST_UNIFORM = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -113,7 +88,10 @@ class SweepConfig:
                 raise ValueError(f"{name} must be non-empty")
             object.__setattr__(self, name, values)
         object.__setattr__(self, "runs", _check_integer(self.runs, "runs", minimum=1))
-        object.__setattr__(self, "seed", _check_seed(self.seed))
+        seed = _check_integer(self.seed, "seed")
+        if not 0 <= seed < _SEED_LIMIT:
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
+        object.__setattr__(self, "seed", seed)
 
 
 @dataclass(frozen=True)
@@ -162,47 +140,22 @@ class SweepResult:
     failures: tuple = ()
 
 
-def _draw_runs(n: int, p_values: tuple, runs: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every run at one n, drawn once: ``(true_counts[p index, run], unit_noise[run])``.
-
-    Run ``r`` reads its stream in a fixed order: ``n`` count uniforms,
-    thresholded at every ``p``, then one noise draw at epsilon = 1.  One
-    Philox is re-keyed to ``(seed, r)`` for each run, which yields the same
-    numbers as ``run_stream(seed, r)`` without building a generator per run.
-    """
-    bit_generator = np.random.Philox(key=0)  # re-keyed before every run
-    stream = np.random.Generator(bit_generator)
-    # The state Philox(key=[seed, run_index]) starts from: counter zero, empty buffer.
-    key = [seed, 0]
-    start = {
-        "bit_generator": "Philox",
-        "state": {"counter": [0, 0, 0, 0], "key": key},
-        "buffer": [0, 0, 0, 0],
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    thresholds = np.asarray(p_values, dtype=np.float64)[:, None, None]
-    rows = min(runs, max(1, _BLOCK_DOUBLES // n))
-    block = np.empty((rows, n), dtype=np.float64)
-    true_counts = np.empty((len(p_values), runs), dtype=np.float64)
-    unit_noise = np.empty(runs, dtype=np.float64)
-    for first in range(0, runs, rows):
-        count = min(rows, runs - first)
-        for row in range(count):
-            key[1] = first + row
-            bit_generator.state = start
-            stream.random(out=block[row])
-            unit_noise[first + row] = sample_noise(_UNIT_LEVEL, stream)
-        true_counts[:, first : first + count] = (block[:count] < thresholds).sum(axis=2)
-    return true_counts, unit_noise
+def _draw_runs(runs: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The row rule: ``(count_uniforms[run], unit_noise[run])`` for every run of a sweep."""
+    rows = np.random.Generator(np.random.Philox(key=seed)).random((runs, 2))
+    unit_noise = np.fromiter(
+        (_laplace_quantile(max(u, _SMALLEST_UNIFORM), 1.0) for u in rows[:, 1].tolist()),
+        dtype=np.float64,
+        count=runs,
+    )
+    return rows[:, 0], unit_noise
 
 
 def _score_cell(
     prior: BinomialPrior, level: PrivacyLevel, true_counts, unit_noise, seed: int
 ) -> CellResult:
     """Absolute errors of the raw responses and of their posterior-mean correction."""
-    # sample_noise returns +-scale_b times a level-free magnitude, so
+    # The Laplace quantile is +-scale_b times a level-free magnitude, so
     # rescaling the unit draw equals a draw at this level bitwise.
     responses = true_counts + unit_noise * level.scale_b
     corrected = bayes_estimate_batch(prior, level, responses)
@@ -247,18 +200,19 @@ def run_cell(n: int, p: float, epsilon: float, runs: int, seed: int) -> CellResu
 def run_sweep(config: SweepConfig) -> SweepResult:
     """Evaluate every (n, p, epsilon) cell of the configured grid.
 
-    Each run is drawn once per n and scored by every (p, epsilon) cell.  A
-    cell whose posterior degenerates is collected as a failure and the
-    sweep continues; the surviving cells keep grid order (n outer, then p,
-    then epsilon).
+    The runs are drawn once and scored by every cell.  A cell whose
+    posterior degenerates is collected as a failure and the sweep
+    continues; the surviving cells keep grid order (n outer, then p, then
+    epsilon).
     """
     cells = []
     failures = []
     levels = [calibrate(epsilon) for epsilon in config.epsilon_values]
+    count_uniforms, unit_noise = _draw_runs(config.runs, config.seed)
     for n in config.n_values:
-        true_counts, unit_noise = _draw_runs(n, config.p_values, config.runs, config.seed)
-        for counts, p in zip(true_counts, config.p_values):
+        for p in config.p_values:
             prior = BinomialPrior(n=n, p=p)
+            counts = _quantiles(prior, count_uniforms)
             for level in levels:
                 try:
                     cells.append(_score_cell(prior, level, counts, unit_noise, config.seed))

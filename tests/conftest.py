@@ -6,9 +6,11 @@ import pytest
 
 from dpbayes import SweepConfig, run_sweep
 
-# Frozen seed for every statistical assertion in the suite.  Chosen once and
-# checked to give representative (not cherry-picked extreme) margins; the
-# tightest assertion sits at about 4 standard errors from its threshold.
+# Frozen seed for every statistical assertion in the suite, chosen once and
+# never re-chosen to make a test pass.  The tightest assertion is acceptance
+# criterion 4 at n = 1000, epsilon = 0.5: prob_bayes_better sits 3.59
+# standard errors above 1/2 where 3 are required.  Its exact expectation is
+# 3.39 (tests/exact_errors.py), so that margin is thin by nature, not by seed.
 ACCEPTANCE_SEED = 31337
 
 HEAVY_RUNS = 100_000

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 import subprocess
 import sys
 from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
@@ -292,19 +293,25 @@ class TestBatch:
     @pytest.mark.parametrize("n", [10_000, 100_000])
     def test_memory_stays_bounded(self, n):
         # The dense kernel needed rows x (n+1) doubles per chunk: about 1 GB
-        # at n = 10**4.  Measured in a fresh process, as growth of peak RSS.
-        pytest.importorskip("resource")
+        # at n = 10**4.  Measured in a fresh process as growth of VmHWM,
+        # which, unlike ru_maxrss, does not inherit the peak of the process
+        # that started it.
+        if not os.path.exists("/proc/self/status"):
+            pytest.skip("needs /proc/self/status")
         code = (
-            "import resource, numpy as np\n"
+            "import numpy as np\n"
             "from dpbayes import BinomialPrior, bayes_estimate_batch, calibrate\n"
+            "def peak_kib():\n"
+            "    with open('/proc/self/status') as status:\n"
+            "        return int(next(l for l in status if l.startswith('VmHWM:')).split()[1])\n"
             f"ys = np.random.default_rng(0).normal(0.3 * {n}, 50.0, 100_000)\n"
-            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "before = peak_kib()\n"
             f"bayes_estimate_batch(BinomialPrior({n}, 0.3), calibrate(0.1), ys)\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+            "print(peak_kib() - before)\n"
         )
         child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                                check=True, timeout=120)
-        growth_mb = int(child.stdout) / 1024  # ru_maxrss is in KiB on Linux
+        growth_mb = int(child.stdout) / 1024
         assert growth_mb < 64
 
     def test_rejects_bad_input(self):

@@ -1,4 +1,4 @@
-"""Binomial population model: log-mass, sampling, uncertainty widths."""
+"""Binomial population model: log-mass, sampling by inversion, uncertainty widths."""
 
 from __future__ import annotations
 
@@ -13,9 +13,9 @@ from dpbayes import (
     BinomialPrior,
     calibrate,
     log_mass_vector,
-    sample_true_counts,
     uncertainty_widths,
 )
+from dpbayes.prior import _quantiles
 
 
 class TestValidation:
@@ -94,48 +94,62 @@ class TestLogMass:
             vector[0] = 0.0
 
 
-def draw_count(n, p, rng):
-    (count,) = sample_true_counts(n, (p,), rng)
-    return int(count)
+def draw_counts(n, p, uniforms):
+    return _quantiles(BinomialPrior(n=n, p=p), np.asarray(uniforms, dtype=np.float64))
+
+
+# The smallest and the largest uniform a Generator returns, and the two
+# around the switch from left sums to survival sums.
+EDGE_UNIFORMS = (0.0, 2.0**-53, 0.5 - 2.0**-54, 0.5, 1.0 - 2.0**-53)
 
 
 class TestSampleTrueCount:
+    """True counts by inversion of the Binomial(n, p) distribution function."""
+
     def test_degenerate_priors(self):
-        rng = np.random.default_rng(0)
-        assert sample_true_counts(50, (0.0, 1.0), rng).tolist() == [0, 50]
+        uniforms = np.concatenate([EDGE_UNIFORMS, np.random.default_rng(0).random(100)])
+        assert np.all(draw_counts(50, 0.0, uniforms) == 0.0)
+        assert np.all(draw_counts(50, 1.0, uniforms) == 50.0)
 
     def test_range(self):
-        rng = np.random.default_rng(1)
-        for _ in range(200):
-            count = draw_count(20, 0.5, rng)
-            assert 0 <= count <= 20
+        uniforms = np.concatenate([EDGE_UNIFORMS, np.random.default_rng(1).random(2000)])
+        for n in (1, 20, 1000):
+            for p in (1e-9, 0.02, 0.5, 0.98, 1.0 - 1e-9):
+                counts = draw_counts(n, p, uniforms)
+                assert counts.dtype == np.float64
+                assert np.all((counts >= 0.0) & (counts <= n) & (counts == np.floor(counts)))
 
     def test_deterministic_given_stream(self):
-        first = [draw_count(100, 0.3, np.random.default_rng(5)) for _ in range(3)]
-        second = [draw_count(100, 0.3, np.random.default_rng(5)) for _ in range(3)]
-        assert first == second
+        uniforms = np.random.default_rng(5).random(1000)
+        first = draw_counts(100, 0.3, uniforms)
+        assert first.tobytes() == draw_counts(100, 0.3, uniforms.copy()).tobytes()
+        assert first.tolist() == stats.binom.ppf(uniforms, 100, 0.3).tolist()
 
-    def test_consumes_n_uniforms(self):
-        # Two consecutive draws from one stream differ from two fresh streams
-        # only through the stream position, so draw two from a clone and
-        # check the second matches a stream advanced by exactly n uniforms.
-        rng = np.random.default_rng(42)
-        sample_true_counts(17, (0.1, 0.4, 0.9), rng)
-        follow_on = draw_count(17, 0.4, rng)
-        shifted = np.random.default_rng(42)
-        shifted.random(17)
-        assert draw_count(17, 0.4, shifted) == follow_on
+    def test_nested_in_p(self):
+        # Binomial(n, p) increases stochastically in p, so at a fixed uniform
+        # the quantile cannot fall as p grows.
+        uniforms = np.concatenate([EDGE_UNIFORMS, np.random.default_rng(11).random(5000)])
+        for n in (1, 100, 1000):
+            counts = [draw_counts(n, p, uniforms) for p in (0.0, 0.02, 0.1, 0.3, 0.5, 0.98, 1.0)]
+            assert np.all(np.diff(counts, axis=0) >= 0.0), n
 
-    def test_each_count_matches_a_single_p_draw(self):
-        p_values = (0.0, 0.02, 0.3, 0.5, 0.98, 1.0)
-        counts = sample_true_counts(100, p_values, np.random.default_rng(11))
-        singles = [draw_count(100, p, np.random.default_rng(11)) for p in p_values]
-        assert counts.tolist() == singles
-        assert np.all(np.diff(counts) >= 0)
+    def test_nested_in_u(self):
+        uniforms = np.sort(np.concatenate([EDGE_UNIFORMS, np.random.default_rng(12).random(5000)]))
+        for n, p in ((1, 0.5), (100, 0.3), (1000, 0.02), (1000, 0.98)):
+            assert np.all(np.diff(draw_counts(n, p, uniforms)) >= 0.0), (n, p)
+
+    def test_upper_tail_stays_reachable(self):
+        # At u = 1 - 2**-53 the count is the first k with P(K > k) < 2**-53.
+        # A left cumulative sum rounds to 1 long before that count.
+        n, p, u = 1000, 0.02, 1.0 - 2.0**-53
+        k = np.arange(n + 1)
+        expected = int(k[stats.binom.sf(k, n, p) < 2.0**-53][0])
+        assert draw_counts(n, p, [u]).tolist() == [expected]
+        assert expected > 20 + 10 * math.sqrt(n * p * (1 - p))
+        assert draw_counts(n, p, [0.0]).tolist() == [0.0]
 
     def test_empirical_mean(self):
-        rng = np.random.default_rng(2718)
-        draws = np.array([draw_count(1000, 0.3, rng) for _ in range(100_000)])
+        draws = draw_counts(1000, 0.3, np.random.default_rng(2718).random(100_000))
         sigma = math.sqrt(1000 * 0.3 * 0.7)
         assert abs(draws.mean() - 300.0) < 3.0 * sigma / math.sqrt(draws.size)
 
@@ -143,10 +157,9 @@ class TestSampleTrueCount:
         # Chi-square against the exact binomial masses, bins pooled so every
         # expected count is at least 5; not rejected at significance 1e-4.
         prior = BinomialPrior(n=20, p=0.3)
-        rng = np.random.default_rng(314159)
-        draws = np.array([draw_count(20, 0.3, rng) for _ in range(100_000)])
+        draws = draw_counts(20, 0.3, np.random.default_rng(314159).random(100_000))
         expected = np.exp(log_mass_vector(prior)) * draws.size
-        observed = np.bincount(draws, minlength=21).astype(float)
+        observed = np.bincount(draws.astype(np.int64), minlength=21).astype(float)
         pooled_obs, pooled_exp = [], []
         acc_obs = acc_exp = 0.0
         for k in range(21):

@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import io
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.stats import binom
 
 import dpbayes.simulation as simulation_module
 from dpbayes import (
@@ -16,11 +20,11 @@ from dpbayes import (
     bayes_estimate_batch,
     calibrate,
     run_cell,
-    run_stream,
     run_sweep,
     sample_noise,
     write_csv,
 )
+from dpbayes.prior import _quantiles
 from dpbayes.simulation import CSV_HEADER
 
 
@@ -34,69 +38,103 @@ class StubStream:
         return self.value
 
 
+def sweep_rows(runs, seed):
+    """The row rule, read directly: row r of the sweep's one stream is run r."""
+    return np.random.Generator(np.random.Philox(key=seed)).random((runs, 2))
+
+
+def reference_counts(n, p, uniforms):
+    """Binomial(n, p) quantiles of uniforms in (0, 1) by scipy, independent of the package."""
+    if p in (0.0, 1.0):
+        return np.full(np.shape(uniforms), n * p)
+    return binom.ppf(uniforms, n, p)
+
+
 class TestRunStream:
+    """A run's random numbers are its row of the sweep's one Philox stream."""
+
     def test_same_key_same_stream(self):
-        assert run_stream(7, 3).random(4).tolist() == run_stream(7, 3).random(4).tolist()
+        first = simulation_module._draw_runs(20, 7)
+        second = simulation_module._draw_runs(20, 7)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(first, second))
 
     def test_distinct_runs_distinct_streams(self):
-        a = run_stream(7, 3).random(4)
-        b = run_stream(7, 4).random(4)
-        assert not np.array_equal(a, b)
+        rows = sweep_rows(50, 7)
+        assert len({tuple(row) for row in rows.tolist()}) == 50
 
     def test_distinct_seeds_distinct_streams(self):
-        a = run_stream(7, 3).random(4)
-        b = run_stream(8, 3).random(4)
-        assert not np.array_equal(a, b)
+        a = simulation_module._draw_runs(4, 7)
+        b = simulation_module._draw_runs(4, 8)
+        assert not np.array_equal(a[0], b[0]) and not np.array_equal(a[1], b[1])
 
     def test_rejects_seeds_outside_64_bits(self):
         # Reducing seeds modulo 2**64 would make s and s + 2**64 alias.
-        run_stream(0, 0).random()
-        run_stream(2**64 - 1, 0).random()
+        run_cell(10, 0.3, 1.0, 5, 0)
+        run_cell(10, 0.3, 1.0, 5, 2**64 - 1)
         for seed in (-1, 2**64, 2**64 + 5, 2**70, 2.5):
             with pytest.raises(ValueError):
-                run_stream(seed, 0)
-        with pytest.raises(ValueError):
-            run_cell(10, 0.3, 1.0, 50, 2**64 + 5)
+                SweepConfig(seed=seed)
+            with pytest.raises(ValueError):
+                run_cell(10, 0.3, 1.0, 50, seed)
 
     @pytest.mark.parametrize("seed", [math.inf, -math.inf, math.nan])
     def test_rejects_non_finite_seeds(self, seed):
         with pytest.raises(ValueError):
-            run_stream(seed, 0)
-
-
-def reference_draws(n, p_values, runs, seed):
-    """Per-run loop over ``run_stream``: the draws the sweep must reproduce."""
-    true_counts = np.empty((len(p_values), runs))
-    unit_noise = np.empty(runs)
-    for run_index in range(runs):
-        stream = run_stream(seed, run_index)
-        uniforms = stream.random(n)
-        true_counts[:, run_index] = [int((uniforms < p).sum()) for p in p_values]
-        unit_noise[run_index] = sample_noise(calibrate(1.0), stream)
-    return true_counts, unit_noise
-
-
-BLOCK = simulation_module._BLOCK_DOUBLES
+            run_cell(10, 0.3, 1.0, 5, seed)
 
 
 class TestDrawRuns:
     @pytest.mark.parametrize(
         "n, runs, seed",
         [
-            (100, BLOCK // 100 - 1, 5),  # one short of a full block
-            (100, BLOCK // 100, 5),  # exactly one block
-            (100, BLOCK // 100 + 1, 5),  # one run into a second block
+            (100, 654, 5),
+            (100, 655, 5),
+            (100, 656, 5),
             (1, 3, 5),
-            (BLOCK + 1, 3, 5),  # wider than the block budget: one run a block
+            (65537, 3, 5),
             (37, 50, 2**64 - 1),
         ],
     )
     def test_matches_run_stream_loop(self, n, runs, seed):
+        # Reference: run r reads its two uniforms as row r of one stream, in
+        # order, and turns them into its count and its unit noise one by one.
         p_values = (0.0, 0.02, 0.3, 0.5, 0.98, 1.0)
-        true_counts, unit_noise = simulation_module._draw_runs(n, p_values, runs, seed)
-        expected_counts, expected_noise = reference_draws(n, p_values, runs, seed)
-        assert true_counts.tobytes() == expected_counts.tobytes()
-        assert unit_noise.tobytes() == expected_noise.tobytes()
+        rows = sweep_rows(runs, seed)
+        count_uniforms, unit_noise = simulation_module._draw_runs(runs, seed)
+        assert count_uniforms.tobytes() == rows[:, 0].tobytes()
+        expected_noise = [sample_noise(calibrate(1.0), StubStream(u)) for u in rows[:, 1]]
+        assert unit_noise.tobytes() == np.array(expected_noise).tobytes()
+        for p in p_values:
+            counts = _quantiles(BinomialPrior(n=n, p=p), count_uniforms)
+            assert counts.tolist() == reference_counts(n, p, rows[:, 0]).tolist()
+
+    @pytest.mark.parametrize("runs", [1, 2, 999])
+    def test_rows_are_a_prefix(self, runs):
+        # The counter-based stream makes R runs the first R runs of any longer sweep.
+        shorter = simulation_module._draw_runs(runs, 11)
+        longer = simulation_module._draw_runs(runs + 1, 11)
+        assert shorter[0].tobytes() == longer[0][:runs].tobytes()
+        assert shorter[1].tobytes() == longer[1][:runs].tobytes()
+
+    def test_zero_noise_uniform_is_the_smallest_uniform(self, monkeypatch):
+        # sample_noise redraws u = 0; a row has one noise uniform, so 0 stands
+        # for the smallest positive uniform, 2**-53, and the noise stays finite.
+        base = np.random.Generator
+
+        class Generator(base):
+            def random(self, size=None):
+                out = base.random(self, size)
+                out[::2, 1] = 0.0
+                return out
+
+        monkeypatch.setattr(np.random, "Generator", Generator)
+        _, unit_noise = simulation_module._draw_runs(6, 3)
+        smallest = sample_noise(calibrate(1.0), StubStream(2.0**-53))
+        assert smallest == -52.0 * math.log(2.0)
+        assert unit_noise[::2].tolist() == [smallest] * 3
+        assert np.all(unit_noise[1::2] != smallest)
+        cell = run_cell(100, 0.3, 0.5, runs=6, seed=3)
+        assert math.isfinite(cell.avg_err_bayes) and math.isfinite(cell.se_naive)
 
 
 class TestAnalyticNaiveError:
@@ -135,16 +173,15 @@ class TestRunCell:
         assert first == second
 
     def test_matches_per_run_reference_loop(self):
-        # Reference: every run draws its count and its noise at the cell's own
-        # level, with nothing shared between cells.
+        # Reference: every run inverts its own row at the cell's (n, p) and
+        # draws its noise at the cell's own level, with nothing shared.
         n, p, epsilon, runs, seed = 50, 0.3, 0.2, 400, 11
         level = calibrate(epsilon)
         counts = np.empty(runs)
         responses = np.empty(runs)
-        for run_index in range(runs):
-            stream = run_stream(seed, run_index)
-            counts[run_index] = int((stream.random(n) < p).sum())
-            responses[run_index] = counts[run_index] + sample_noise(level, stream)
+        for run_index, (u_count, u_noise) in enumerate(sweep_rows(runs, seed)):
+            counts[run_index] = binom.ppf(u_count, n, p)
+            responses[run_index] = counts[run_index] + sample_noise(level, StubStream(u_noise))
         err_naive = np.abs(responses - counts)
         corrected = bayes_estimate_batch(BinomialPrior(n=n, p=p), level, responses)
         err_bayes = np.abs(corrected - counts)
@@ -160,14 +197,36 @@ class TestRunCell:
         assert a.avg_err_naive != b.avg_err_naive
 
     def test_common_random_numbers_across_cells(self):
-        # Run r consumes n uniforms for the count and then one for the noise,
-        # so at fixed n two cells with different p draw identical noise and
-        # the naive error (which is just |noise|) matches bitwise.
+        # Run r's noise is the same in every cell of a sweep, whatever n and
+        # p are, so the naive error (which is just |noise|) matches bitwise.
         a = run_cell(100, 0.0, 0.1, runs=200, seed=9)
         b = run_cell(100, 0.3, 0.1, runs=200, seed=9)
         assert a.avg_err_naive == b.avg_err_naive
         shifted = run_cell(1000, 0.0, 0.1, runs=200, seed=9)
-        assert a.avg_err_naive != shifted.avg_err_naive
+        assert a.avg_err_naive == shifted.avg_err_naive
+
+    def test_memory_stays_bounded_at_a_million_records(self):
+        # A run costs two uniforms whatever n is, so a cell at n = 10**6 is
+        # cheap; the n uniforms per run it used to draw made it 10**9 doubles.
+        # What grows with n is O(n) per (n, p, epsilon): the prior's masses and
+        # the posterior's block sums, about 70 MB here.  Measured in a fresh
+        # process as growth of VmHWM.
+        if not os.path.exists("/proc/self/status"):
+            pytest.skip("needs /proc/self/status")
+        code = (
+            "from dpbayes import run_cell\n"
+            "def peak_kib():\n"
+            "    with open('/proc/self/status') as status:\n"
+            "        return int(next(l for l in status if l.startswith('VmHWM:')).split()[1])\n"
+            "before = peak_kib()\n"
+            "cell = run_cell(10**6, 0.3, 0.1, runs=1000, seed=0)\n"
+            "assert cell.runs == 1000 and cell.avg_err_bayes > 0.0\n"
+            "print(peak_kib() - before)\n"
+        )
+        child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                               check=True, timeout=120)
+        growth_mb = int(child.stdout) / 1024
+        assert growth_mb < 128
 
     def test_rejects_bad_runs(self):
         with pytest.raises(ValueError):
@@ -232,27 +291,20 @@ class TestRunSweep:
         with pytest.raises(TypeError):
             run_sweep(SweepConfig(n_values=(10,), p_values=(0.3,), epsilon_values=(1.0,), runs=5))
 
-    def test_draws_each_run_once_per_n(self, monkeypatch):
+    def test_draws_each_run_once_per_sweep(self, monkeypatch):
         keys = []
         base = np.random.Philox
 
-        class Philox(base):
-            # Named like its base: numpy checks a state's "bit_generator" against it.
-            @property
-            def state(self):
-                return base.state.__get__(self)
+        def recording_philox(*args, **kwargs):
+            keys.append(kwargs.get("key"))
+            return base(*args, **kwargs)
 
-            @state.setter
-            def state(self, value):
-                keys.append(tuple(int(part) for part in value["state"]["key"]))
-                base.state.__set__(self, value)
-
-        monkeypatch.setattr(np.random, "Philox", Philox)
+        monkeypatch.setattr(np.random, "Philox", recording_philox)
         config = SweepConfig(
             n_values=(10, 20), p_values=(0.1, 0.5, 0.9), epsilon_values=(0.5, 1.0), runs=7, seed=3
         )
         assert len(run_sweep(config).cells) == 12
-        assert keys == [(3, r) for r in range(7)] * 2
+        assert keys == [3]
 
     def test_cells_match_independent_run_cell_calls(self):
         config = SweepConfig(
@@ -332,8 +384,9 @@ class TestRunSweep:
     def test_run_cell_rejects_bools(self):
         with pytest.raises(ValueError):
             run_cell(True, 0.3, True, True, False)
-        with pytest.raises(ValueError):
-            run_stream(True, 0)
+        for seed in (True, np.True_):
+            with pytest.raises(ValueError):
+                run_cell(10, 0.3, 1.0, 5, seed)
 
 
 class TestWriteCsv:
