@@ -29,7 +29,7 @@ from dpbayes.simulation import CSV_HEADER
 
 
 class StubStream:
-    """Returns one fixed uniform, as the last draw of a run's stream."""
+    """Returns one fixed uniform, so sample_noise can be evaluated at a chosen u."""
 
     def __init__(self, value):
         self.value = float(value)
