@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .estimators import bayes_estimate
+from .estimators import _check_epsilon_n, bayes_estimate
 from .mechanism import calibrate, out_of_range_bounds, out_of_range_probability
 from .prior import BinomialPrior, uncertainty_widths
 from .querydb import Predicate, load_records, noisy_count_query, public_answer
@@ -73,23 +73,21 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--eps", type=float, required=True, help="privacy level")
     query.add_argument("--seed", type=int, default=None,
                        help=f"noise seed (default: ${SEED_ENV_VAR} or OS entropy)")
-    query.add_argument("--estimate", action="store_true",
-                       help="also print the posterior-mean correction (needs --p)")
     query.add_argument("--p", type=float, default=None,
-                       help="assumed per-record match probability for --estimate")
+                       help="assumed per-record match probability; "
+                            "also print the posterior-mean correction")
     query.add_argument("--n-known", type=int, default=None,
-                       help="database size assumed by the corrector "
+                       help="database size assumed by the correction, with --p "
                             "(default: the loaded row count)")
 
     analyze = sub.add_parser("analyze", help="closed-form out-of-range and width reports")
     analyze.add_argument("--n", type=int, required=True, help="database size")
     analyze.add_argument("--eps", type=float, required=True, help="privacy level")
     analyze.add_argument("--p", type=float, default=None,
-                         help="match probability (needed by --widths)")
+                         help="match probability; compare population and noise "
+                              "1-sigma interval widths")
     analyze.add_argument("--a", type=int, default=None,
                          help="true count to report the out-of-range probability for")
-    analyze.add_argument("--widths", action="store_true",
-                         help="compare population and noise 1-sigma interval widths")
     analyze.add_argument("--bounds", action="store_true",
                          help="report extremes of the out-of-range probability")
     return parser
@@ -160,11 +158,11 @@ def cmd_query(args) -> int:
     with open(args.data, newline="") as stream:
         db = load_records(stream)
     prior = None
-    if args.estimate:
-        if args.p is None:
-            raise ValueError("--estimate requires --p")
-        n_known = args.n_known if args.n_known is not None else db.size
-        prior = BinomialPrior(n=n_known, p=args.p)
+    if args.p is not None:
+        prior = BinomialPrior(n=db.size if args.n_known is None else args.n_known, p=args.p)
+        _check_epsilon_n(prior.n, level.epsilon)
+    elif args.n_known is not None:
+        raise ValueError("--n-known requires --p")
     seed = _resolve_seed(args.seed)
     rng = np.random.default_rng(seed)
     if seed is not None:
@@ -184,11 +182,8 @@ def cmd_query(args) -> int:
 def cmd_analyze(args) -> int:
     level = calibrate(args.eps)
     printed = False
-    if args.widths:
-        if args.p is None:
-            raise ValueError("--widths requires --p")
-        prior = BinomialPrior(n=args.n, p=args.p)
-        binomial_width, laplace_width = uncertainty_widths(prior, level)
+    if args.p is not None:
+        binomial_width, laplace_width = uncertainty_widths(BinomialPrior(args.n, args.p), level)
         print(f"binomial 1-sigma interval width: {binomial_width:.4f}")
         print(f"laplace 1-sigma interval width:  {laplace_width:.4f}")
         printed = True
@@ -221,12 +216,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    commands = {"sweep": cmd_sweep, "query": cmd_query, "analyze": cmd_analyze}
     try:
-        if args.command == "sweep":
-            return cmd_sweep(args)
-        if args.command == "query":
-            return cmd_query(args)
-        return cmd_analyze(args)
+        return commands[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

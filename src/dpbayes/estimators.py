@@ -17,7 +17,8 @@ counts are cut into at most ``_BLOCKS`` blocks of width
 block it falls in.  A batch of ``R`` responses costs ``O(n + R*w)`` and
 gathers at most ``_SLICE_ELEMENTS`` terms at a time, whatever ``n`` and
 ``R`` are.  Every step is elementwise or a reduction within one row, so a
-row's result does not depend on the rows batched with it.
+row's result does not depend on the rows batched with it.  The sums carry
+``epsilon*k``, so ``epsilon*n`` above 2**33 is refused.
 """
 
 from __future__ import annotations
@@ -104,37 +105,31 @@ def _log_sums(terms: np.ndarray, k: np.ndarray) -> np.ndarray:
         return top[:, None] + np.log(sums)
 
 
-class _ByIdentity:
-    """Hashable handle that compares by the identity of the object it holds.
+def _check_epsilon_n(n: int, epsilon: float) -> None:
+    """Raise ``ValueError`` if ``epsilon * n`` exceeds 2**33, the kernel's documented bound.
 
-    Lets :func:`functools.lru_cache` key on a log-mass array: the key keeps
-    the array alive, so its id cannot be reused while the entry is cached.
+    The kernel's sums carry ``epsilon*k``, so a posterior mean's relative
+    error grows like ``epsilon*n*2**-53``: about 1e-6 at the bound, 0.5 at 1e16.
     """
-
-    __slots__ = ("obj",)
-
-    def __init__(self, obj) -> None:
-        self.obj = obj
-
-    def __hash__(self) -> int:
-        return id(self.obj)
-
-    def __eq__(self, other) -> bool:
-        return self.obj is other.obj
+    if epsilon * n > 2.0**33:
+        raise ValueError(f"epsilon * n must be at most 2**33, got {epsilon!r} * {n!r}")
 
 
 @lru_cache(maxsize=128)
-def _block_tables(log_mass: _ByIdentity, epsilon: float) -> tuple[int, np.ndarray]:
+def _block_tables(prior: BinomialPrior, epsilon: float) -> tuple[int, np.ndarray]:
     """Block width and the cached block sums for one (prior, epsilon).
 
     Returns ``(w, tables)`` with ``tables`` of shape ``(2, 2, blocks + 1)``.
     ``tables[0, :, j]`` holds ``log sum m_k e^{epsilon k}`` and its
     ``k``-weighted twin over the blocks before block ``j``; ``tables[1, :, j]``
     holds the same of ``m_k e^{-epsilon k}`` over the blocks after block
-    ``j``.  Keyed on the log-mass array itself, which :mod:`.prior` caches
-    per (n, p), so the tables always match the masses gathered per row.
+    ``j``.  Keyed on the frozen prior's value, so equal priors share tables.
+
+    Raises:
+        ValueError: if ``epsilon * n`` exceeds 2**33.
     """
-    mass = log_mass.obj
+    _check_epsilon_n(prior.n, epsilon)
+    mass = log_mass_vector(prior)
     width = -(-mass.size // _BLOCKS)
     blocks = -(-mass.size // width)
     padded = np.full(blocks * width, -np.inf)
@@ -155,7 +150,7 @@ def _posterior_means(prior: BinomialPrior, level: PrivacyLevel, ys: np.ndarray) 
     """Posterior means of finite responses ``ys``, clipped to ``[0, n]``."""
     n, epsilon = prior.n, level.epsilon
     mass = log_mass_vector(prior)
-    width, tables = _block_tables(_ByIdentity(mass), epsilon)
+    width, tables = _block_tables(prior, epsilon)
     offsets = np.arange(width)
     out = np.empty(ys.shape[0], dtype=np.float64)
     step = max(1, _SLICE_ELEMENTS // width)
@@ -195,6 +190,9 @@ def bayes_estimate(prior: BinomialPrior, level: PrivacyLevel, y: float) -> float
 
     Continuous and nondecreasing in ``y``.  Degenerate priors pin it to
     their point mass whatever the response says.
+
+    Raises:
+        ValueError: if ``y`` is not finite or ``epsilon * n`` exceeds 2**33.
     """
     value = _check_response(y)
     return float(_posterior_means(prior, level, np.array([value]))[0])
@@ -207,7 +205,8 @@ def bayes_estimate_batch(prior: BinomialPrior, level: PrivacyLevel, ys) -> np.nd
     per-row results are identical to the scalar path.
 
     Raises:
-        ValueError: if any response is not finite.
+        ValueError: if any response is not finite or ``epsilon * n``
+            exceeds 2**33.
         FloatingPointError: naming the offending row if normalisation
             degenerates.
     """

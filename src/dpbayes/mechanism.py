@@ -14,6 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# The smallest positive double uniform; it gives the largest noise, 52*ln(2)/epsilon.
+_SMALLEST_UNIFORM = 2.0**-53
+
 __all__ = [
     "PrivacyLevel",
     "OutOfRangeBounds",
@@ -31,7 +34,9 @@ class PrivacyLevel:
     """Privacy level epsilon and the Laplace scale it pins down.
 
     Counting queries have sensitivity 1, so the scale is always
-    ``scale_b = 1/epsilon``; the field is derived, never passed in.
+    ``scale_b = 1/epsilon``; the field is derived, never passed in.  The
+    sampler's largest noise, ``52*ln(2)/epsilon`` at the uniform 2**-53,
+    must be finite, so epsilon below about 2.005e-307 is refused.
     """
 
     epsilon: float
@@ -41,6 +46,8 @@ class PrivacyLevel:
         eps = float(self.epsilon)
         if isinstance(self.epsilon, (bool, np.bool_)) or not math.isfinite(eps) or eps <= 0.0:
             raise ValueError(f"epsilon must be a positive finite real, got {self.epsilon!r}")
+        if not math.isfinite(_laplace_quantile(_SMALLEST_UNIFORM, 1.0 / eps)):
+            raise ValueError(f"epsilon {self.epsilon!r} is too small: its noise would overflow")
         object.__setattr__(self, "epsilon", eps)
         object.__setattr__(self, "scale_b", 1.0 / eps)
 
@@ -61,7 +68,8 @@ def calibrate(epsilon: float) -> PrivacyLevel:
         The :class:`PrivacyLevel` with ``scale_b = 1/epsilon``.
 
     Raises:
-        ValueError: if epsilon is not a positive finite real.
+        ValueError: if epsilon is not a positive finite real, or so small
+            that the largest noise the sampler can return overflows.
     """
     return PrivacyLevel(epsilon)
 
@@ -183,12 +191,7 @@ def out_of_range_bounds(n: int, level: PrivacyLevel) -> OutOfRangeBounds:
     else:
         argmin = frozenset({(size - 1) // 2, (size + 1) // 2})
     min_prob = out_of_range_probability(min(argmin), size, level)
-    return OutOfRangeBounds(
-        max_prob=max_prob,
-        argmax=frozenset({0, size}),
-        min_prob=min_prob,
-        argmin=argmin,
-    )
+    return OutOfRangeBounds(max_prob, frozenset({0, size}), min_prob, argmin)
 
 
 def dp_ratio_check(level: PrivacyLevel, a1: int, a2: int, grid) -> bool:
@@ -196,9 +199,10 @@ def dp_ratio_check(level: PrivacyLevel, a1: int, a2: int, grid) -> bool:
 
     For neighbouring true counts (``|a1 - a2| = 1``) the output densities
     must satisfy ``f(y - a1) <= exp(epsilon) * f(y - a2)`` at every point of
-    ``grid``.  The comparison carries 1e-12 relative slack because the two
-    sides meet exactly on one side of each count, where rounding could
-    otherwise flip the verdict.
+    ``grid``.  It compares the log-ratio ``epsilon*(|y - a2| - |y - a1|)``
+    with epsilon, so nothing overflows (``exp(epsilon)`` would past 709.78)
+    or underflows (densities far from the counts would), with 1e-12
+    relative slack: the two sides meet exactly on one side of each count.
 
     Args:
         level: calibrated privacy level.
@@ -215,6 +219,5 @@ def dp_ratio_check(level: PrivacyLevel, a1: int, a2: int, grid) -> bool:
     if abs(_check_integer(a1, "a1") - _check_integer(a2, "a2")) != 1:
         raise ValueError(f"counts must differ by exactly 1, got {a1!r} and {a2!r}")
     ys = np.asarray(grid, dtype=np.float64)
-    f1 = laplace_density(ys - float(a1), level)
-    f2 = laplace_density(ys - float(a2), level)
-    return bool(np.all(f1 <= math.exp(level.epsilon) * f2 * (1.0 + 1e-12)))
+    log_ratio = level.epsilon * (np.abs(ys - float(a2)) - np.abs(ys - float(a1)))
+    return bool(np.all(log_ratio <= level.epsilon * (1.0 + 1e-12)))

@@ -20,8 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import bayes_estimate_batch
-from .mechanism import PrivacyLevel, _check_integer, _laplace_quantile, calibrate
+from .estimators import _check_epsilon_n, bayes_estimate_batch
+from .mechanism import (
+    _SMALLEST_UNIFORM, PrivacyLevel, _check_integer, _laplace_quantile, calibrate,
+)
 from .prior import BinomialPrior, _quantiles
 
 __all__ = [
@@ -45,25 +47,11 @@ DEFAULT_EPSILON_VALUES = (0.05, 0.1, 0.2, 0.5, 1.0, 2.0)
 DEFAULT_RUNS = 100_000
 
 CSV_HEADER = (
-    "n",
-    "p",
-    "epsilon",
-    "noise_std",
-    "avg_err_naive",
-    "avg_err_naive_analytic",
-    "avg_err_bayes",
-    "prob_bayes_better",
-    "se_naive",
-    "se_bayes",
-    "runs",
-    "seed",
+    "n", "p", "epsilon", "noise_std", "avg_err_naive", "avg_err_naive_analytic",
+    "avg_err_bayes", "prob_bayes_better", "se_naive", "se_bayes", "runs", "seed",
 )
 
 _SEED_LIMIT = 1 << 64
-
-# The noise uniform 0.0 has no Laplace quantile; it stands for the smallest
-# positive uniform, 2**-53, which gives unit noise -52*log(2).
-_SMALLEST_UNIFORM = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -87,6 +75,7 @@ class SweepConfig:
             if not values:
                 raise ValueError(f"{name} must be non-empty")
             object.__setattr__(self, name, values)
+        _check_epsilon_n(max(self.n_values), max(self.epsilon_values))
         object.__setattr__(self, "runs", _check_integer(self.runs, "runs", minimum=1))
         seed = _check_integer(self.seed, "seed")
         if not 0 <= seed < _SEED_LIMIT:
@@ -143,6 +132,7 @@ class SweepResult:
 def _draw_runs(runs: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """The row rule: ``(count_uniforms[run], unit_noise[run])`` for every run of a sweep."""
     rows = np.random.Generator(np.random.Philox(key=seed)).random((runs, 2))
+    # A noise uniform of 0.0 has no Laplace quantile; the smallest positive one stands in.
     unit_noise = np.fromiter(
         (_laplace_quantile(max(u, _SMALLEST_UNIFORM), 1.0) for u in rows[:, 1].tolist()),
         dtype=np.float64,
@@ -223,7 +213,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
 
 
 def write_csv(result: SweepResult, stream) -> None:
-    """Emit one row per cell with the fixed column set.
+    """Emit one row per cell: the :data:`CSV_HEADER` attributes of the cell, in order.
 
     Floats are written with shortest round-trip precision and the line
     terminator is pinned, so equal results serialise to equal bytes.
@@ -231,19 +221,4 @@ def write_csv(result: SweepResult, stream) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for cell in result.cells:
-        writer.writerow(
-            [
-                cell.n,
-                cell.p,
-                cell.epsilon,
-                cell.noise_std,
-                cell.avg_err_naive,
-                cell.avg_err_naive_analytic,
-                cell.avg_err_bayes,
-                cell.prob_bayes_better,
-                cell.se_naive,
-                cell.se_bayes,
-                cell.runs,
-                cell.seed,
-            ]
-        )
+        writer.writerow([getattr(cell, name) for name in CSV_HEADER])

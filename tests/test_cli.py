@@ -174,6 +174,16 @@ class TestSweep:
         )
         assert (code, out) == (2, "")
 
+    def test_epsilon_n_above_the_bound_is_usage_error(self, capsys, monkeypatch):
+        # epsilon * n = 1e11 > 2**33: refused before any cell runs.
+        monkeypatch.setattr(cli_module, "run_sweep", lambda config: pytest.fail("sweep ran"))
+        code, out, err = run_cli(
+            capsys, "sweep", "--n", "10", "1000", "--p", "0.3", "--eps", "1.0", "1e8",
+            "--runs", "50",
+        )
+        assert (code, out) == (2, "")
+        assert "2**33" in err
+
     def test_bad_env_seed_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv(cli_module.SEED_ENV_VAR, "not-a-number")
         code, _, err = run_cli(
@@ -250,7 +260,7 @@ class TestQuery:
         # Seed chosen so the noisy value is negative; the correction is not.
         code, out, _ = run_cli(
             capsys, "query", "--data", data_file, "--where", "city equals Rome",
-            "--eps", "0.1", "--seed", "2", "--estimate", "--p", "0.4",
+            "--eps", "0.1", "--seed", "2", "--p", "0.4",
         )
         assert code == 0
         first, second = out.splitlines()[:2]
@@ -264,7 +274,7 @@ class TestQuery:
     def test_estimate_with_known_size(self, capsys, data_file, median_noise):
         code, out, _ = run_cli(
             capsys, "query", "--data", data_file, "--where", "city equals Rome",
-            "--eps", "0.1", "--estimate", "--p", "0.04", "--n-known", "100",
+            "--eps", "0.1", "--p", "0.04", "--n-known", "100",
         )
         assert code == 0
         payload = json.loads(out.splitlines()[1])
@@ -292,12 +302,12 @@ class TestQuery:
         )
         assert code == 2
 
-    def test_estimate_without_p_is_usage_error(self, capsys, data_file):
-        code, _, err = run_cli(
+    def test_n_known_without_p_is_usage_error(self, capsys, data_file):
+        code, out, err = run_cli(
             capsys, "query", "--data", data_file, "--where", "city equals Rome",
-            "--eps", "0.1", "--estimate",
+            "--eps", "0.1", "--n-known", "50",
         )
-        assert code == 2
+        assert (code, out) == (2, "")
         assert "--p" in err
 
     def test_malformed_data_is_usage_error(self, capsys, tmp_path):
@@ -314,9 +324,9 @@ class TestQueryReleasePath:
     @pytest.mark.parametrize(
         "extra",
         [
-            ("--estimate",),
-            ("--estimate", "--p", "1.5"),
-            ("--estimate", "--p", "0.3", "--n-known", "0"),
+            ("--p", "1.5"),
+            ("--p", "0.3", "--n-known", "0"),
+            ("--n-known", "50"),
         ],
     )
     def test_usage_error_releases_nothing(self, capsys, data_file, monkeypatch, extra):
@@ -325,6 +335,25 @@ class TestQueryReleasePath:
         code, out, err = run_cli(
             capsys, "query", "--data", data_file, "--where", "city equals Rome",
             "--eps", "0.1", "--seed", "3", *extra,
+        )
+        assert (code, out, calls) == (2, "", [])
+        assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ("--eps", "5e-324"),
+            ("--eps", "1e-308"),
+            ("--eps", "1e9", "--p", "0.3"),  # epsilon * n = 1e10 > 2**33
+            ("--eps", "1e8", "--p", "0.3", "--n-known", "1000"),
+        ],
+    )
+    def test_epsilon_out_of_bounds_releases_nothing(self, capsys, data_file, monkeypatch, extra):
+        calls = []
+        monkeypatch.setattr(cli_module, "noisy_count_query", lambda *args: calls.append(args))
+        code, out, err = run_cli(
+            capsys, "query", "--data", data_file, "--where", "city equals Rome",
+            "--seed", "3", *extra,
         )
         assert (code, out, calls) == (2, "", [])
         assert "error:" in err
@@ -364,7 +393,7 @@ class TestQueryReleasePath:
         )
         assert (code, err) == (0, "")
 
-    @pytest.mark.parametrize("extra", [(), ("--estimate", "--p", "0.6")])
+    @pytest.mark.parametrize("extra", [(), ("--p", "0.6")])
     def test_output_never_carries_the_true_count(self, capsys, tmp_path, extra):
         path = tmp_path / "members.csv"
         path.write_text("member\n" + "yes\n" * 1337 + "no\n" * 666)
@@ -379,10 +408,9 @@ class TestQueryReleasePath:
 
 class TestAnalyze:
     def test_widths_report(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "analyze", "--n", "10000", "--eps", "0.1", "--p", "0.3", "--widths"
-        )
+        code, out, _ = run_cli(capsys, "analyze", "--n", "10000", "--eps", "0.1", "--p", "0.3")
         assert code == 0
+        assert len(out.splitlines()) == 2
         assert "91.65" in out
         assert "28.28" in out
 
@@ -410,10 +438,10 @@ class TestAnalyze:
         assert lines[0] == "a,out_of_range_probability"
         assert len(lines) == 6  # header plus the five quartile counts
 
-    def test_widths_without_p_is_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "analyze", "--n", "100", "--eps", "0.1", "--widths")
-        assert code == 2
-        assert "--p" in err
+    def test_widths_with_bad_p_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "analyze", "--n", "100", "--eps", "0.1", "--p", "1.5")
+        assert (code, out) == (2, "")
+        assert "error:" in err
 
     def test_bad_size_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "analyze", "--n", "0", "--eps", "0.1", "--bounds")
@@ -437,6 +465,13 @@ class TestUsage:
             capsys, "query", "--data", data_file, "--where", "city equals Rome",
             "--eps", "0.1", "--noise-hook", "median",
         )
+        assert (code, out) == (2, "")
+        code, out, _ = run_cli(
+            capsys, "query", "--data", data_file, "--where", "city equals Rome",
+            "--eps", "0.1", "--estimate", "--p", "0.3",
+        )
+        assert (code, out) == (2, "")
+        code, out, _ = run_cli(capsys, "analyze", "--n", "100", "--eps", "0.1", "--widths")
         assert (code, out) == (2, "")
 
     def test_help_exits_zero(self, capsys):

@@ -261,6 +261,32 @@ class TestExactOracle:
             assert bayes_estimate(prior, level, y) == pytest.approx(mean, rel=1e-12, abs=0.0)
 
 
+class TestEpsilonNBound:
+    """The kernel refuses epsilon * n above 2**33, where its means lose digits."""
+
+    @pytest.mark.parametrize(
+        "n, epsilon, y",
+        [(3, 1e300, 2.0), (100, 5e306, 30.0), (100, 2.0**33 / 100 * (1 + 1e-15), 30.4)],
+    )
+    def test_refuses_above_the_bound(self, n, epsilon, y):
+        # At (3, 1e300, 2.0) the posterior mean is 2.0, yet the kernel used
+        # to return 1.0; at (100, 5e306) it returned NaN.
+        prior, level = BinomialPrior(n=n, p=0.5), calibrate(epsilon)
+        with pytest.raises(ValueError, match=r"2\*\*33"):
+            bayes_estimate(prior, level, y)
+        with pytest.raises(ValueError, match=r"2\*\*33"):
+            bayes_estimate_batch(prior, level, np.array([y, 0.0]))
+
+    def test_accurate_at_the_bound(self):
+        n, p, epsilon = 100, 0.3, 2.0**33 / 100
+        ys = list(oracle_responses(n))
+        for k in (3, 33, 98):
+            ys += [k + 0.5 + d / epsilon for d in (-2.0, -0.3, 0.0, 0.3, 2.0)]
+        got = bayes_estimate_batch(BinomialPrior(n=n, p=p), calibrate(epsilon), np.array(ys))
+        want = np.array([exact_posterior_mean(n, p, epsilon, y) for y in ys])
+        assert np.max(np.abs(got - want) / np.maximum(want, 1.0)) < 1e-6
+
+
 class TestBatch:
     def test_matches_scalar_bitwise(self):
         prior = BinomialPrior(n=100, p=0.3)
@@ -329,5 +355,11 @@ class TestBatch:
             "log_mass_vector",
             lambda _: np.full(5, -np.inf),
         )
-        with pytest.raises(FloatingPointError, match="row 0"):
-            bayes_estimate_batch(prior, calibrate(1.0), np.array([0.0, 1.0, 2.0, 3.0]))
+        # The block tables are cached per (prior, epsilon): build them from
+        # the patched masses, and drop them afterwards.
+        estimators_module._block_tables.cache_clear()
+        try:
+            with pytest.raises(FloatingPointError, match="row 0"):
+                bayes_estimate_batch(prior, calibrate(1.0), np.array([0.0, 1.0, 2.0, 3.0]))
+        finally:
+            estimators_module._block_tables.cache_clear()

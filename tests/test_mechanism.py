@@ -60,6 +60,18 @@ class TestCalibrate:
             PrivacyLevel(-0.5)
         assert PrivacyLevel(0.2).scale_b == pytest.approx(5.0, rel=1e-15)
 
+    @pytest.mark.parametrize("epsilon", [5e-324, 1e-308, 2e-307])
+    def test_rejects_epsilon_whose_noise_overflows(self, epsilon):
+        # 52*ln(2)/epsilon, the noise at the uniform 2**-53, is not finite here.
+        with pytest.raises(ValueError, match="too small"):
+            calibrate(epsilon)
+
+    def test_smallest_accepted_epsilon_keeps_noise_finite(self):
+        level = calibrate(2.01e-307)
+        assert math.isfinite(level.noise_std)
+        for u in (2.0**-53, 1.0 - 2.0**-53):
+            assert math.isfinite(sample_noise(level, StubStream([u])))
+
     @given(st.floats(min_value=1e-6, max_value=1e6, allow_nan=False))
     def test_scale_exactly_reciprocal(self, epsilon):
         assert calibrate(epsilon).scale_b == 1.0 / epsilon
@@ -295,6 +307,15 @@ class TestDpRatioCheck:
         assert dp_ratio_check(level, 50, 51, grid)
         assert dp_ratio_check(level, 51, 50, grid)
         assert dp_ratio_check(level, 0, 1, grid)
+
+    @pytest.mark.parametrize("epsilon", [30.0, 800.0, 1e300])
+    def test_large_epsilon_returns_true(self, epsilon):
+        # Past epsilon = 709.78 exp(epsilon) overflows; from about 30 on, this
+        # grid reaches densities that underflow to 0 next to positive ones.
+        level = calibrate(epsilon)
+        grid = np.linspace(-10.0 * level.scale_b, 100.0 + 10.0 * level.scale_b, 10_001)
+        assert dp_ratio_check(level, 50, 51, grid) is True
+        assert dp_ratio_check(level, 0, 1, grid) is True
 
     def test_rejects_non_neighbours(self):
         level = calibrate(0.1)

@@ -348,6 +348,8 @@ class TestRunSweep:
             {"p_values": (0.3, 1.5)},
             {"epsilon_values": (1.0, 0.0)},
             {"epsilon_values": (math.inf,)},
+            {"epsilon_values": (5e-324,)},
+            {"epsilon_values": (0.5, 1e7)},  # epsilon * n = 1e10 > 2**33 at n = 1000
         ],
     )
     def test_config_validation(self, kwargs):
