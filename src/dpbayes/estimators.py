@@ -68,20 +68,21 @@ def posterior(prior: BinomialPrior, level: PrivacyLevel, y: float) -> np.ndarray
     """Posterior distribution of the true count given one noisy response.
 
     ``prob(k)`` is proportional to ``mass(k) * exp(-epsilon*|y - k|)``,
-    normalised over ``k = 0..n``.  Weights are assembled in log space and
-    the largest is shifted to exp(0) = 1 before normalising, so the result
-    stays finite for any finite ``y`` and for ``n`` at least up to 10**4.
+    normalised over ``k = 0..n``; clipping ``y`` to ``[-1, n]`` changes no
+    probability.  Log weights are shifted so the largest is 0 before they are
+    exponentiated, so the result stays finite for any finite ``y`` and ``n``.
 
     Returns:
         Array of length ``n+1``; entry ``k`` is ``P[count = k | y]``.
 
     Raises:
-        ValueError: if ``y`` is not a finite real.
+        ValueError: if ``y`` is not finite or ``epsilon * n`` exceeds 2**33.
         FloatingPointError: if normalisation degenerates despite the shift.
     """
     value = _check_response(y)
+    _check_epsilon_n(prior.n, level.epsilon)
     k = np.arange(prior.n + 1, dtype=np.float64)
-    log_w = log_mass_vector(prior) - level.epsilon * np.abs(value - k)
+    log_w = log_mass_vector(prior) - level.epsilon * np.abs(np.clip(value, -1.0, prior.n) - k)
     with np.errstate(invalid="ignore"):
         weights = np.exp(log_w - log_w.max())
     total = weights.sum()

@@ -1,8 +1,8 @@
 """Minimal statistical database: records, predicates, true and noisy counts.
 
-Records are flat string-valued rows loaded from comma-separated text and
-stored by column, so a count is read from per-field value counts.  The
-trusted side evaluates a predicate to a true count and releases only the
+Records are flat string-valued rows, given as dicts or read from
+comma-separated text; only per-field value counts are kept.  The trusted
+side evaluates a predicate to a true count and releases only the
 Laplace-perturbed value; :func:`public_answer` is the single serialisation
 point for what crosses to the untrusted side.
 """
@@ -12,11 +12,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-from array import array
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import islice
-
-import numpy as np
 
 from .mechanism import PrivacyLevel, sample_noise
 
@@ -33,7 +31,7 @@ __all__ = [
 
 RELATIONS = ("equals", "not-equals", "in-set")
 
-# load_records transposes and encodes this many rows at a time.
+# load_records transposes and counts this many rows at a time.
 _BLOCK_ROWS = 4096
 
 
@@ -83,55 +81,33 @@ class Predicate:
 
 
 class RecordSet:
-    """Immutable records (field name -> string value), stored by column.
+    """Immutable per-field value counts of records (field name -> string value).
 
-    Each field keeps its distinct values and one int32 code per record,
-    -1 where the record lacks the field (a missing key or a ``None`` value,
-    which no predicate matches).  The number of records holding each value
-    is counted once, at construction, so :func:`count_query` costs
-    O(values in the predicate) instead of a scan of the rows.
+    Each field keeps how many records hold it and how many hold each value;
+    a record lacking the field (a missing key or a ``None`` value, which no
+    predicate matches) counts in neither.  No record is kept, and
+    :func:`count_query` costs O(values in the predicate), not a scan.
     """
 
-    __slots__ = ("_size", "_columns", "_counts")
+    __slots__ = ("_size", "_counts")
 
     def __init__(self, records):
         records = tuple(records)
-        columns = {}
-        for name in dict.fromkeys(name for record in records for name in record):
-            index = {}
-            codes = [-1 if record.get(name) is None else index.setdefault(record[name], len(index))
-                     for record in records]
-            columns[name] = (tuple(index), np.array(codes, dtype=np.int32))
-        self._encode(len(records), columns)
-
-    @classmethod
-    def _from_columns(cls, size: int, columns: dict) -> "RecordSet":
-        db = cls.__new__(cls)
-        db._encode(size, columns)
-        return db
-
-    def _encode(self, size: int, columns: dict) -> None:
-        # columns: field -> (distinct values, int32 code per record).
-        self._size = size
-        self._columns = columns
-        self._counts = {}
-        for name, (values, codes) in columns.items():
-            counts = np.bincount(codes[codes >= 0]).tolist()
-            self._counts[name] = (sum(counts), dict(zip(values, counts)))
+        self._size = len(records)
+        self._counts = _tally((name, (value,)) for record in records
+                              for name, value in record.items() if value is not None)
 
     @property
     def size(self) -> int:
         return self._size
 
-    @property
-    def records(self) -> tuple:
-        """The records as dicts, decoded from the columns on every access."""
-        decoded = tuple({} for _ in range(self._size))
-        for name, (values, codes) in self._columns.items():
-            for record, code in zip(decoded, codes.tolist()):
-                if code >= 0:
-                    record[name] = values[code]
-        return decoded
+
+def _tally(columns) -> dict:
+    """Per-field ``(records holding it, value Counter)``; a field may come in many pairs."""
+    tallies = defaultdict(Counter)
+    for name, values in columns:
+        tallies[name].update(values)
+    return {name: (tally.total(), tally) for name, tally in tallies.items()}
 
 
 def _checked_rows(reader, width: int):
@@ -145,9 +121,9 @@ def load_records(source) -> RecordSet:
     """Read comma-separated rows, header first, into a :class:`RecordSet`.
 
     Accepts an open text stream or a string holding the full content.
-    Standard doubled-quote escaping applies.  Cells are encoded column by
+    Standard doubled-quote escaping applies.  Values are counted column by
     column as they are read, a block of rows at a time; no dict per row is
-    built.
+    built and no row is kept.
 
     Raises:
         ValueError: naming the offending row, on a missing or empty header,
@@ -166,18 +142,12 @@ def load_records(source) -> RecordSet:
     for position, name in enumerate(header):
         if name in header[:position]:
             raise ValueError(f"row 1: field {name!r} named twice")
-    indexes = [{} for _ in header]
-    codes = [array("i") for _ in header]
     rows = _checked_rows(reader, len(header))
-    while block := list(islice(rows, _BLOCK_ROWS)):
-        for index, column_codes, column in zip(indexes, codes, zip(*block)):
-            for value in dict.fromkeys(column):
-                if value not in index:
-                    index[value] = len(index)
-            column_codes.extend(map(index.__getitem__, column))
-    columns = {name: (tuple(index), np.asarray(column_codes, dtype=np.int32))
-               for name, index, column_codes in zip(header, indexes, codes)}
-    return RecordSet._from_columns(len(codes[0]), columns)
+    blocks = iter(lambda: list(islice(rows, _BLOCK_ROWS)), [])
+    db = RecordSet(())
+    db._counts = _tally(pair for block in blocks for pair in zip(header, zip(*block)))
+    db._size = db._counts.get(header[0], (0,))[0]  # every row holds every field
+    return db
 
 
 @dataclass(frozen=True)
@@ -193,7 +163,8 @@ def count_query(db: RecordSet, pred: Predicate) -> int:
     """Number of records matching the predicate; unknown fields match nothing.
 
     Read from the per-field value counts in O(values in the predicate).  The
-    definition it must equal is ``sum(pred.matches(r) for r in db.records)``.
+    definition it must equal is ``sum(pred.matches(r) for r in records)``
+    over the records ``db`` was built from.
     """
     present, counts = db._counts.get(pred.field, (0, {}))
     if pred.relation == "not-equals":

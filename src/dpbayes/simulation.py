@@ -102,7 +102,7 @@ class CellResult:
 
     @property
     def noise_std(self) -> float:
-        return math.sqrt(2.0) / self.epsilon
+        return calibrate(self.epsilon).noise_std
 
     @property
     def prob_naive_better(self) -> float:

@@ -128,6 +128,12 @@ class TestPosterior:
             assert probs.sum() == pytest.approx(1.0, abs=1e-9)
             assert np.all(probs >= 0.0)
 
+    def test_extreme_response_equals_the_range_end(self):
+        # epsilon * 1.7e308 overflows; beyond [-1, n] y changes no probability.
+        prior, level = BinomialPrior(n=100, p=0.3), calibrate(2.0)
+        for y, end in ((1.7e308, 100.0), (-1.7e308, -1.0)):
+            assert np.array_equal(posterior(prior, level, y), posterior(prior, level, end))
+
     @given(
         st.integers(min_value=1, max_value=300),
         st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
@@ -276,6 +282,8 @@ class TestEpsilonNBound:
             bayes_estimate(prior, level, y)
         with pytest.raises(ValueError, match=r"2\*\*33"):
             bayes_estimate_batch(prior, level, np.array([y, 0.0]))
+        with pytest.raises(ValueError, match=r"2\*\*33"):
+            posterior(prior, level, y)
 
     def test_accurate_at_the_bound(self):
         n, p, epsilon = 100, 0.3, 2.0**33 / 100

@@ -162,6 +162,11 @@ class TestRunCell:
         assert cell.noise_std == pytest.approx(math.sqrt(2.0) / 0.5, rel=1e-12)
         assert cell.se_naive > 0.0 and cell.se_bayes > 0.0
 
+    @pytest.mark.parametrize("epsilon", [3.0, 0.03])
+    def test_noise_std_is_the_level_s(self, epsilon):
+        # sqrt(2)/epsilon differs from the level's sqrt(2)*(1/epsilon) in the last bit here.
+        assert run_cell(10, 0.3, epsilon, runs=2, seed=0).noise_std == calibrate(epsilon).noise_std
+
     def test_probability_shares_sum_to_one(self):
         cell = run_cell(100, 0.3, 0.5, runs=2_000, seed=3)
         total = cell.prob_bayes_better + cell.prob_naive_better + cell.ties / cell.runs
