@@ -16,15 +16,18 @@ counts are cut into at most ``_BLOCKS`` blocks of width
 (prior, epsilon), and each response adds the at most ``w`` terms of the
 block it falls in.  A batch of ``R`` responses costs ``O(n + R*w)`` and
 gathers at most ``_SLICE_ELEMENTS`` terms at a time, whatever ``n`` and
-``R`` are.  Every step is elementwise or a reduction within one row, so a
-row's result does not depend on the rows batched with it.  The sums carry
-``epsilon*k``, so ``epsilon*n`` above 2**33 is refused.
+``R`` are.  Up to ``n = 1023`` blocks are one count wide, so the count
+right of ``y`` is folded into per-count tables once, in ``O(n)`` per
+(prior, epsilon), and a response then costs ``O(1)``.  Every step is
+elementwise or a reduction within one row, so a row's result does not
+depend on the rows batched with it.  The sums carry ``epsilon*k``, so
+``epsilon*n`` above 2**33 is refused.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import expit
@@ -116,15 +119,54 @@ def _check_epsilon_n(n: int, epsilon: float) -> None:
         raise ValueError(f"epsilon * n must be at most 2**33, got {epsilon!r} * {n!r}")
 
 
-@lru_cache(maxsize=128)
-def _block_tables(prior: BinomialPrior, epsilon: float) -> tuple[int, np.ndarray]:
-    """Block width and the cached block sums for one (prior, epsilon).
+def _in_block_sums(mass, block, width: int, epsilon: float, start=None) -> np.ndarray:
+    """Log sums ``(side, weighting, row)`` over the given blocks; counts past ``n`` add nothing.
 
-    Returns ``(w, tables)`` with ``tables`` of shape ``(2, 2, blocks + 1)``.
-    ``tables[0, :, j]`` holds ``log sum m_k e^{epsilon k}`` and its
-    ``k``-weighted twin over the blocks before block ``j``; ``tables[1, :, j]``
-    holds the same of ``m_k e^{-epsilon k}`` over the blocks after block
-    ``j``.  Keyed on the frozen prior's value, so equal priors share tables.
+    Side 0 sums ``m_k e^{epsilon k}``, side 1 ``m_k e^{-epsilon k}``.  Given
+    ``start``, the first count right of each response, side 0 keeps only the
+    counts before it and side 1 only the others.
+    """
+    idx = block[:, None] * width + np.arange(width)
+    k = idx.astype(np.float64)
+    gathered = np.where(idx < mass.size, mass.take(idx, mode="clip"), -np.inf)
+    terms = np.stack([gathered + epsilon * k, gathered - epsilon * k])
+    if start is not None:
+        is_left = idx < start[:, None]
+        terms[0][~is_left] = -np.inf
+        terms[1][is_left] = -np.inf
+    return _log_sums(terms, k)
+
+
+def _split(sums: np.ndarray) -> np.ndarray:
+    """Rows ``(d, left mean, right mean)`` from log sums, with ``d = log S_L - log S_R``."""
+    log_norm = sums[:, 0]
+    with np.errstate(invalid="ignore"):
+        side_means = np.where(log_norm == -np.inf, 0.0, np.exp(sums[:, 1] - log_norm))
+        return np.vstack([log_norm[0] - log_norm[1], side_means])
+
+
+def _mix(parts: np.ndarray, y: np.ndarray, epsilon: float, n: int, first: int) -> np.ndarray:
+    """Posterior means in ``[0, n]`` from rows ``(d, left mean, right mean)`` at clipped ``y``."""
+    x = parts[0] - 2.0 * epsilon * y  # log-odds of the mass left of y against the right
+    bad = np.flatnonzero(np.isnan(x))
+    if bad.size:
+        raise FloatingPointError(f"posterior normalisation degenerated at row {first + bad[0]}")
+    # expit(-x), not 1 - expit(x): the right share may be far below 1e-16.
+    # Means of counts in [0, n] can only leave the range by rounding.
+    return np.clip(expit(x) * parts[1] + expit(-x) * parts[2], 0.0, float(n))
+
+
+@functools.lru_cache(maxsize=128)
+def _block_tables(prior: BinomialPrior, epsilon: float) -> tuple[int, np.ndarray]:
+    """Block width and the cached tables for one (prior, epsilon).
+
+    Returns ``(w, tables)``.  For ``w > 1``, ``tables[0, :, j]`` holds
+    ``log sum m_k e^{epsilon k}`` and its ``k``-weighted twin over the blocks
+    before block ``j``, and ``tables[1, :, j]`` the same of
+    ``m_k e^{-epsilon k}`` over the blocks after it.  For ``w = 1`` the
+    count ``j`` right of a response is its whole block, so it is folded in
+    here: column ``j`` holds ``(d, left mean, right mean)``, ``j = 0..n+1``.
+    Keyed on the frozen prior's value, so equal priors share tables.
 
     Raises:
         ValueError: if ``epsilon * n`` exceeds 2**33.
@@ -133,16 +175,19 @@ def _block_tables(prior: BinomialPrior, epsilon: float) -> tuple[int, np.ndarray
     mass = log_mass_vector(prior)
     width = -(-mass.size // _BLOCKS)
     blocks = -(-mass.size // width)
-    padded = np.full(blocks * width, -np.inf)
-    padded[: mass.size] = mass
-    padded = padded.reshape(blocks, width)
-    k = np.arange(blocks * width, dtype=np.float64).reshape(blocks, width)
-    left, right = _log_sums(np.stack([padded + epsilon * k, padded - epsilon * k]), k)
+    step = max(1, _SLICE_ELEMENTS // width)  # whole blocks, at most _SLICE_ELEMENTS terms
+    left, right = np.concatenate([
+        _in_block_sums(mass, np.arange(lo, min(lo + step, blocks)), width, epsilon)
+        for lo in range(0, blocks, step)
+    ], axis=-1)
     empty = np.full((2, 1), -np.inf)
     left = np.logaddexp.accumulate(np.hstack([empty, left]), axis=1)
     # Suffix sums by a reversed accumulate, shifted so column j excludes block j.
     right = np.logaddexp.accumulate(right[:, ::-1], axis=1)[:, ::-1]
     tables = np.stack([left, np.hstack([right[:, 1:], empty, empty])])
+    if width == 1:
+        start = np.arange(mass.size + 1)
+        tables = _split(np.logaddexp(tables, _in_block_sums(mass, start, 1, epsilon, start)))
     tables.flags.writeable = False
     return width, tables
 
@@ -150,9 +195,7 @@ def _block_tables(prior: BinomialPrior, epsilon: float) -> tuple[int, np.ndarray
 def _posterior_means(prior: BinomialPrior, level: PrivacyLevel, ys: np.ndarray) -> np.ndarray:
     """Posterior means of finite responses ``ys``, clipped to ``[0, n]``."""
     n, epsilon = prior.n, level.epsilon
-    mass = log_mass_vector(prior)
     width, tables = _block_tables(prior, epsilon)
-    offsets = np.arange(width)
     out = np.empty(ys.shape[0], dtype=np.float64)
     step = max(1, _SLICE_ELEMENTS // width)
     for lo in range(0, ys.shape[0], step):
@@ -160,30 +203,14 @@ def _posterior_means(prior: BinomialPrior, level: PrivacyLevel, ys: np.ndarray) 
         # no mean and keeps epsilon*y within epsilon*n.
         y = np.clip(ys[lo : lo + step], -1.0, float(n))
         start = np.floor(y).astype(np.int64) + 1  # first count right of y
-        block = start // width
-        idx = block[:, None] * width + offsets
-        k = idx.astype(np.float64)
-        is_left = idx < start[:, None]
-        gathered = mass.take(idx, mode="clip")
-        terms = np.stack([gathered + epsilon * k, gathered - epsilon * k])
-        terms[0][~is_left] = -np.inf
-        terms[1][is_left | (idx > n)] = -np.inf
-        # (side, weighting, row): side 0 is left of y, side 1 right of it.
-        sums = np.logaddexp(tables[:, :, block], _log_sums(terms, k))
-        log_norm = sums[:, 0]
-        bad = np.flatnonzero(~np.isfinite(log_norm.max(axis=0)))
-        if bad.size:
-            raise FloatingPointError(
-                f"posterior normalisation degenerated at row {lo + int(bad[0])}"
-            )
-        with np.errstate(invalid="ignore"):
-            side_means = np.where(log_norm == -np.inf, 0.0, np.exp(sums[:, 1] - log_norm))
-        # Log-odds of the mass left of y against the mass right of it.
-        x = log_norm[0] - log_norm[1] - 2.0 * epsilon * y
-        # expit(-x), not 1 - expit(x): the right share may be far below 1e-16.
-        out[lo : lo + step] = expit(x) * side_means[0] + expit(-x) * side_means[1]
-    # Posterior means of counts in [0, n] can only leave the range by rounding.
-    return np.clip(out, 0.0, float(n))
+        if width == 1:
+            parts = tables.take(start, axis=1)
+        else:
+            block = start // width
+            in_block = _in_block_sums(log_mass_vector(prior), block, width, epsilon, start)
+            parts = _split(np.logaddexp(tables[:, :, block], in_block))
+        out[lo : lo + step] = _mix(parts, y, epsilon, n, lo)
+    return out
 
 
 def bayes_estimate(prior: BinomialPrior, level: PrivacyLevel, y: float) -> float:

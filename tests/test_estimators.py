@@ -324,12 +324,16 @@ class TestBatch:
         assert np.array_equal(bayes_estimate_batch(prior, level, ys[order]), full[order])
         assert np.array_equal([bayes_estimate(prior, level, y) for y in ys[:200]], full[:200])
 
-    @pytest.mark.parametrize("n", [10_000, 100_000])
-    def test_memory_stays_bounded(self, n):
+    @pytest.mark.parametrize(
+        "n, rows", [(10_000, 100_000), (100_000, 100_000), (10**6, 1000)],
+        ids=["10000", "100000", "1000000"],
+    )
+    def test_memory_stays_bounded(self, n, rows):
         # The dense kernel needed rows x (n+1) doubles per chunk: about 1 GB
-        # at n = 10**4.  Measured in a fresh process as growth of VmHWM,
-        # which, unlike ru_maxrss, does not inherit the peak of the process
-        # that started it.
+        # at n = 10**4.  At n = 10**6 the block tables are built a slice at
+        # a time; the cached 8 MB log-masses and their temporaries remain.
+        # Measured in a fresh process as growth of VmHWM, which, unlike
+        # ru_maxrss, does not inherit the peak of the process that started it.
         if not os.path.exists("/proc/self/status"):
             pytest.skip("needs /proc/self/status")
         code = (
@@ -338,7 +342,7 @@ class TestBatch:
             "def peak_kib():\n"
             "    with open('/proc/self/status') as status:\n"
             "        return int(next(l for l in status if l.startswith('VmHWM:')).split()[1])\n"
-            f"ys = np.random.default_rng(0).normal(0.3 * {n}, 50.0, 100_000)\n"
+            f"ys = np.random.default_rng(0).normal(0.3 * {n}, 50.0, {rows})\n"
             "before = peak_kib()\n"
             f"bayes_estimate_batch(BinomialPrior({n}, 0.3), calibrate(0.1), ys)\n"
             "print(peak_kib() - before)\n"
@@ -346,7 +350,29 @@ class TestBatch:
         child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                                check=True, timeout=120)
         growth_mb = int(child.stdout) / 1024
-        assert growth_mb < 64
+        assert growth_mb < 40
+
+    @pytest.mark.parametrize("p", [0.02, 0.3, 0.98])
+    def test_block_widths_agree(self, monkeypatch, p):
+        # n = 100 has one-count blocks and per-count tables; with 8 blocks
+        # the same prior takes the block path, 13 counts a block.
+        prior = BinomialPrior(n=100, p=p)
+        ys = np.linspace(-40.0, 140.0, 500)
+        levels = [calibrate(epsilon) for epsilon in (0.05, 2.0, 5.0)]
+        estimators_module._block_tables.cache_clear()
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(estimators_module, "_BLOCKS", 8)
+                ys = np.concatenate([ys, oracle_responses(100)])
+                blocked = [bayes_estimate_batch(prior, level, ys) for level in levels]
+                assert estimators_module._block_tables(prior, 2.0)[0] == 13
+            estimators_module._block_tables.cache_clear()
+            for level, got in zip(levels, blocked):
+                assert estimators_module._block_tables(prior, level.epsilon)[0] == 1
+                want = bayes_estimate_batch(prior, level, ys)
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        finally:
+            estimators_module._block_tables.cache_clear()
 
     def test_rejects_bad_input(self):
         prior = BinomialPrior(n=10, p=0.5)
@@ -357,17 +383,20 @@ class TestBatch:
             bayes_estimate_batch(prior, level, np.array([1.0, math.nan]))
 
     def test_degenerate_weights_raise_in_batch(self, monkeypatch):
-        prior = BinomialPrior(n=4, p=0.5)
         monkeypatch.setattr(
             estimators_module,
             "log_mass_vector",
-            lambda _: np.full(5, -np.inf),
+            lambda prior: np.full(prior.n + 1, -np.inf),
         )
         # The block tables are cached per (prior, epsilon): build them from
-        # the patched masses, and drop them afterwards.
+        # the patched masses, and drop them afterwards.  n = 4 reads
+        # per-count tables, n = 2000 blocks two counts wide.
         estimators_module._block_tables.cache_clear()
         try:
-            with pytest.raises(FloatingPointError, match="row 0"):
-                bayes_estimate_batch(prior, calibrate(1.0), np.array([0.0, 1.0, 2.0, 3.0]))
+            for n in (4, 2000):
+                with pytest.raises(FloatingPointError, match="row 0"):
+                    bayes_estimate_batch(
+                        BinomialPrior(n=n, p=0.5), calibrate(1.0), np.array([0.0, 1.0, 2.0, 3.0])
+                    )
         finally:
             estimators_module._block_tables.cache_clear()
