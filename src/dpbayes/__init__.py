@@ -7,74 +7,16 @@ noisy response, and ships a Monte Carlo harness comparing the corrected and
 raw estimators across privacy levels.
 """
 
-from .estimators import (
-    bayes_estimate,
-    bayes_estimate_batch,
-    naive_estimate,
-    posterior,
-)
-from .mechanism import (
-    OutOfRangeBounds,
-    PrivacyLevel,
-    calibrate,
-    dp_ratio_check,
-    laplace_density,
-    out_of_range_bounds,
-    out_of_range_probability,
-    sample_noise,
-)
-from .prior import (
-    BinomialPrior,
-    log_mass_vector,
-    uncertainty_widths,
-)
-from .querydb import (
-    Predicate,
-    QueryResult,
-    RecordSet,
-    count_query,
-    load_records,
-    noisy_count_query,
-    public_answer,
-)
-from .simulation import (
-    CellFailure,
-    CellResult,
-    SweepConfig,
-    SweepResult,
-    run_cell,
-    run_sweep,
-    write_csv,
-)
+from . import estimators, mechanism, prior, querydb, simulation
+from .estimators import *
+from .mechanism import *
+from .prior import *
+from .querydb import *
+from .simulation import *
 
+# Each module's __all__ is its public API; the package exports their union.
 __all__ = [
-    "BinomialPrior",
-    "CellFailure",
-    "CellResult",
-    "OutOfRangeBounds",
-    "Predicate",
-    "PrivacyLevel",
-    "QueryResult",
-    "RecordSet",
-    "SweepConfig",
-    "SweepResult",
-    "bayes_estimate",
-    "bayes_estimate_batch",
-    "calibrate",
-    "count_query",
-    "dp_ratio_check",
-    "laplace_density",
-    "load_records",
-    "log_mass_vector",
-    "naive_estimate",
-    "noisy_count_query",
-    "out_of_range_bounds",
-    "out_of_range_probability",
-    "posterior",
-    "public_answer",
-    "run_cell",
-    "run_sweep",
-    "sample_noise",
-    "uncertainty_widths",
-    "write_csv",
+    name
+    for module in (estimators, mechanism, prior, querydb, simulation)
+    for name in module.__all__
 ]

@@ -7,6 +7,7 @@ predicate, missing or malformed data file), 1 on runtime failures.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -17,15 +18,7 @@ from .estimators import _check_epsilon_n, bayes_estimate
 from .mechanism import calibrate, out_of_range_bounds, out_of_range_probability
 from .prior import BinomialPrior, uncertainty_widths
 from .querydb import Predicate, load_records, noisy_count_query, public_answer
-from .simulation import (
-    DEFAULT_EPSILON_VALUES,
-    DEFAULT_N_VALUES,
-    DEFAULT_P_VALUES,
-    DEFAULT_RUNS,
-    SweepConfig,
-    run_sweep,
-    write_csv,
-)
+from .simulation import SweepConfig, _check_seed, run_sweep, write_csv
 
 SEED_ENV_VAR = "DPBAYES_SEED"
 
@@ -52,13 +45,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="run the Monte Carlo estimator-comparison grid")
     sweep.add_argument("--n", type=int, nargs="+", default=None,
-                       help=f"database sizes (default: {list(DEFAULT_N_VALUES)})")
+                       help=f"database sizes (default: {list(SweepConfig.n_values)})")
     sweep.add_argument("--p", type=float, nargs="+", default=None,
-                       help=f"match probabilities (default: {list(DEFAULT_P_VALUES)})")
+                       help=f"match probabilities (default: {list(SweepConfig.p_values)})")
     sweep.add_argument("--eps", type=float, nargs="+", default=None,
-                       help=f"privacy levels (default: {list(DEFAULT_EPSILON_VALUES)})")
+                       help=f"privacy levels (default: {list(SweepConfig.epsilon_values)})")
     sweep.add_argument("--runs", type=int, default=None,
-                       help=f"Monte Carlo runs per cell (default: {DEFAULT_RUNS})")
+                       help=f"Monte Carlo runs per cell (default: {SweepConfig.runs})")
     sweep.add_argument("--seed", type=int, default=None,
                        help=f"base seed (default: ${SEED_ENV_VAR} or 0)")
     sweep.add_argument("--out", default=None, help="CSV output path (default: stdout)")
@@ -93,9 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_SWEEP_CONFIG_KEYS = ("n_values", "p_values", "epsilon_values", "runs", "seed")
-
-
 def _is_int(value) -> bool:
     # JSON true/false load as bools, which Python counts as integers.
     return isinstance(value, int) and not isinstance(value, bool)
@@ -106,7 +96,7 @@ def _load_sweep_file(path: str) -> dict:
         loaded = json.load(stream)
     if not isinstance(loaded, dict):
         raise ValueError(f"sweep config must be a JSON object, got {type(loaded).__name__}")
-    unknown = set(loaded) - set(_SWEEP_CONFIG_KEYS)
+    unknown = set(loaded) - {field.name for field in dataclasses.fields(SweepConfig)}
     if unknown:
         raise ValueError(f"unknown sweep config keys: {sorted(unknown)}")
     for key in ("n_values", "p_values", "epsilon_values"):
@@ -121,23 +111,14 @@ def _load_sweep_file(path: str) -> dict:
 
 
 def cmd_sweep(args) -> int:
-    stored = _load_sweep_file(args.config) if args.config is not None else {}
-
-    def pick(flag_value, key, fallback):
-        if flag_value is not None:
-            return flag_value
-        return stored.get(key, fallback)
-
+    settings = _load_sweep_file(args.config) if args.config is not None else {}
+    # Flags given win over the file; SweepConfig supplies what neither sets.
+    flags = {"n_values": args.n, "p_values": args.p, "epsilon_values": args.eps,
+             "runs": args.runs, "seed": args.seed}
+    settings.update((key, value) for key, value in flags.items() if value is not None)
     # Seed precedence: flag, then config file, then the environment, then 0.
-    seed = _resolve_seed(pick(args.seed, "seed", None), default=0)
-    config = SweepConfig(
-        n_values=tuple(pick(args.n, "n_values", DEFAULT_N_VALUES)),
-        p_values=tuple(pick(args.p, "p_values", DEFAULT_P_VALUES)),
-        epsilon_values=tuple(pick(args.eps, "epsilon_values", DEFAULT_EPSILON_VALUES)),
-        runs=pick(args.runs, "runs", DEFAULT_RUNS),
-        seed=seed,
-    )
-    result = run_sweep(config)
+    settings["seed"] = _resolve_seed(settings.get("seed"), default=0)
+    result = run_sweep(SweepConfig(**settings))
     if args.out is not None:
         with open(args.out, "w", newline="") as stream:
             write_csv(result, stream)
@@ -164,14 +145,14 @@ def cmd_query(args) -> int:
     elif args.n_known is not None:
         raise ValueError("--n-known requires --p")
     seed = _resolve_seed(args.seed)
-    rng = np.random.default_rng(seed)
     if seed is not None:
+        seed = _check_seed(seed)
         print(
             "warning: this seeded release is reproducible; "
             "anyone who knows the seed can subtract the noise",
             file=sys.stderr,
         )
-    result = noisy_count_query(db, pred, level, rng)
+    result = noisy_count_query(db, pred, level, np.random.default_rng(seed))
     print(public_answer(result))
     if prior is not None:
         corrected = bayes_estimate(prior, level, result.noisy_value)

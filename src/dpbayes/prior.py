@@ -43,8 +43,15 @@ class BinomialPrior:
 
 
 @lru_cache(maxsize=128)
-def _log_pmf(n: int, p: float) -> np.ndarray:
-    # Cached per (n, p); read-only so callers can share the array safely.
+def log_mass_vector(prior: BinomialPrior) -> np.ndarray:
+    """Log-probability of every count 0..n as a read-only length-(n+1) array.
+
+    Cached per prior, so equal priors share one array; it is read-only so
+    that sharing is safe.  Degenerate priors are honest point masses:
+    ``p = 0`` puts all mass at 0 and ``p = 1`` at ``n``, with log-mass
+    ``-inf`` elsewhere.
+    """
+    n, p = prior.n, prior.p
     k = np.arange(n + 1, dtype=np.float64)
     if p == 0.0:
         out = np.full(n + 1, -np.inf)
@@ -62,15 +69,6 @@ def _log_pmf(n: int, p: float) -> np.ndarray:
         )
     out.flags.writeable = False
     return out
-
-
-def log_mass_vector(prior: BinomialPrior) -> np.ndarray:
-    """Log-probability of every count 0..n as a read-only length-(n+1) array.
-
-    Degenerate priors are honest point masses: ``p = 0`` puts all mass at 0
-    and ``p = 1`` at ``n``, with log-mass ``-inf`` elsewhere.
-    """
-    return _log_pmf(prior.n, prior.p)
 
 
 def _quantiles(prior: BinomialPrior, uniforms: np.ndarray) -> np.ndarray:
@@ -96,11 +94,11 @@ def _quantiles(prior: BinomialPrior, uniforms: np.ndarray) -> np.ndarray:
 def uncertainty_widths(prior: BinomialPrior, level: PrivacyLevel) -> tuple[float, float]:
     """One-sigma interval widths of the prior count and of the injected noise.
 
-    Returns ``(2*sqrt(n*p*(1-p)), 2*sqrt(2)/epsilon)``.  When the first
+    Returns ``(2*sqrt(n*p*(1-p)), 2*level.noise_std)``, the noise width
+    being twice the standard deviation sqrt(2)/epsilon.  When the first
     number dwarfs the second, knowing the population model still leaves far
     more uncertainty about the true count than the noise adds, so releasing
     (n, p) is not what breaks privacy.
     """
     binomial_width = 2.0 * math.sqrt(prior.n * prior.p * (1.0 - prior.p))
-    laplace_width = 2.0 * math.sqrt(2.0) / level.epsilon
-    return binomial_width, laplace_width
+    return binomial_width, 2.0 * level.noise_std

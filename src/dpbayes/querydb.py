@@ -85,16 +85,17 @@ class RecordSet:
 
     Each field keeps how many records hold it and how many hold each value;
     a record lacking the field (a missing key or a ``None`` value, which no
-    predicate matches) counts in neither.  No record is kept, and
-    :func:`count_query` costs O(values in the predicate), not a scan.
+    predicate matches) counts in neither.  ``records`` is read once and
+    counted as it is read: no record is kept, and :func:`count_query` costs
+    O(values in the predicate), not a scan.
     """
 
     __slots__ = ("_size", "_counts")
 
     def __init__(self, records):
-        records = tuple(records)
-        self._size = len(records)
-        self._counts = _tally((name, (value,)) for record in records
+        # The loop target numbers the records into _size as _tally reads them.
+        self._size = 0
+        self._counts = _tally((name, (value,)) for self._size, record in enumerate(records, 1)
                               for name, value in record.items() if value is not None)
 
     @property

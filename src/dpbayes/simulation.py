@@ -51,8 +51,6 @@ CSV_HEADER = (
     "avg_err_bayes", "prob_bayes_better", "se_naive", "se_bayes", "runs", "seed",
 )
 
-_SEED_LIMIT = 1 << 64
-
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -77,10 +75,15 @@ class SweepConfig:
             object.__setattr__(self, name, values)
         _check_epsilon_n(max(self.n_values), max(self.epsilon_values))
         object.__setattr__(self, "runs", _check_integer(self.runs, "runs", minimum=1))
-        seed = _check_integer(self.seed, "seed")
-        if not 0 <= seed < _SEED_LIMIT:
-            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
-        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "seed", _check_seed(self.seed))
+
+
+def _check_seed(seed) -> int:
+    """The one seed rule: ``seed`` as an int in [0, 2**64), else ``ValueError``."""
+    number = _check_integer(seed, "seed")
+    if not 0 <= number < 2**64:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    return number
 
 
 @dataclass(frozen=True)

@@ -369,6 +369,22 @@ class TestQueryReleasePath:
         assert (code, out, calls) == (2, "", [])
         assert "row 1" in err and "'city'" in err
 
+    @pytest.mark.parametrize("seed", [str(2**64), "-1"])
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_seed_outside_64_bits_releases_nothing(
+        self, capsys, data_file, monkeypatch, source, seed
+    ):
+        calls = []
+        monkeypatch.setattr(cli_module, "noisy_count_query", lambda *args: calls.append(args))
+        argv = ["query", "--data", data_file, "--where", "city equals Rome", "--eps", "0.1"]
+        if source == "flag":
+            argv += ["--seed", seed]
+        else:
+            monkeypatch.setenv(cli_module.SEED_ENV_VAR, seed)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, calls) == (2, "", [])
+        assert "seed" in err
+
     def test_seed_flag_warns(self, capsys, data_file):
         code, out, err = run_cli(
             capsys, "query", "--data", data_file, "--where", "city equals Rome",

@@ -93,6 +93,12 @@ class TestLogMass:
         with pytest.raises(ValueError):
             vector[0] = 0.0
 
+    def test_cache_keys_on_the_prior(self):
+        # The prior normalises numpy scalars, so equal priors share one array.
+        plain = log_mass_vector(BinomialPrior(100, 0.3))
+        assert log_mass_vector(BinomialPrior(np.int64(100), np.float64(0.3))) is plain
+        assert not plain.flags.writeable
+
 
 def draw_counts(n, p, uniforms):
     return _quantiles(BinomialPrior(n=n, p=p), np.asarray(uniforms, dtype=np.float64))
@@ -193,3 +199,9 @@ class TestUncertaintyWidths:
         binomial_width, laplace_width = uncertainty_widths(prior, level)
         assert binomial_width == pytest.approx(2.0 * math.sqrt(21.0), rel=1e-12)
         assert laplace_width == pytest.approx(2.0 * math.sqrt(2.0) / 0.5, rel=1e-12)
+
+    @pytest.mark.parametrize("epsilon", [3.0, 0.03, 1.5, 5.0])
+    def test_noise_width_is_twice_the_noise_std(self, epsilon):
+        # 2*sqrt(2)/epsilon differs from 2*noise_std in the last bit here.
+        level = calibrate(epsilon)
+        assert uncertainty_widths(BinomialPrior(n=100, p=0.3), level)[1] == 2.0 * level.noise_std

@@ -346,3 +346,25 @@ class TestColumnCounts:
                                text=True, check=True, timeout=120)
         growth_mb = int(child.stdout) / 1024
         assert growth_mb < 6
+
+    def test_dict_records_memory_stays_bounded(self):
+        # RecordSet(records=...) held 10**5 five-field dicts from a generator
+        # at once to count them, growing VmHWM by about 50 MB; counted as they
+        # are read, they are freed one by one.
+        if not os.path.exists("/proc/self/status"):
+            pytest.skip("needs /proc/self/status")
+        code = (
+            "from dpbayes import RecordSet\n"
+            "def peak_kib():\n"
+            "    with open('/proc/self/status') as status:\n"
+            "        return int(next(l for l in status if l.startswith('VmHWM:')).split()[1])\n"
+            "before = peak_kib()\n"
+            "db = RecordSet(records=({'region': f'r{i % 6}', 'age': f'a{i % 10}', 'sex': f's{i % 3}',\n"
+            "                         'job': f'j{i % 12}', 'plan': f'p{i % 4}'} for i in range(100_000)))\n"
+            "assert db.size == 100_000\n"
+            "print(peak_kib() - before)\n"
+        )
+        child = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                               text=True, check=True, timeout=120)
+        growth_mb = int(child.stdout) / 1024
+        assert growth_mb < 6
