@@ -86,9 +86,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _is_int(value) -> bool:
+def _is_json(value, kind: type) -> bool:
     # JSON true/false load as bools, which Python counts as integers.
-    return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, (int, kind)) and not isinstance(value, bool)
 
 
 def _load_sweep_file(path: str) -> dict:
@@ -99,14 +99,15 @@ def _load_sweep_file(path: str) -> dict:
     unknown = set(loaded) - {field.name for field in dataclasses.fields(SweepConfig)}
     if unknown:
         raise ValueError(f"unknown sweep config keys: {sorted(unknown)}")
-    for key in ("n_values", "p_values", "epsilon_values"):
+    for key, kind in (("n_values", int), ("p_values", float), ("epsilon_values", float)):
         if key in loaded and not isinstance(loaded[key], list):
             raise ValueError(f"sweep config {key} must be a list")
+        if not all(_is_json(value, kind) for value in loaded.get(key, ())):
+            kinds = "integers" if kind is int else "numbers"
+            raise ValueError(f"sweep config {key} must hold {kinds}, got {loaded[key]!r}")
     for key in ("runs", "seed"):
-        if key in loaded and not _is_int(loaded[key]):
+        if key in loaded and not _is_json(loaded[key], int):
             raise ValueError(f"sweep config {key} must be an integer, got {loaded[key]!r}")
-    if not all(_is_int(n) for n in loaded.get("n_values", ())):
-        raise ValueError(f"sweep config n_values must hold integers, got {loaded['n_values']!r}")
     return loaded
 
 

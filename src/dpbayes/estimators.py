@@ -11,17 +11,13 @@ The likelihood splits at ``y``: counts ``k <= y`` weigh ``m_k e^{epsilon k}``
 times ``e^{-epsilon y}`` and counts ``k > y`` weigh ``m_k e^{-epsilon k}``
 times ``e^{epsilon y}``.  So every posterior mean needs only a prefix sum
 left of ``y`` and a suffix sum right of it, plain and ``k``-weighted.  The
-counts are cut into at most ``_BLOCKS`` blocks of width
-``w = ceil((n+1)/_BLOCKS)``; log-space sums over whole blocks are cached per
-(prior, epsilon), and each response adds the at most ``w`` terms of the
-block it falls in.  A batch of ``R`` responses costs ``O(n + R*w)`` and
-gathers at most ``_SLICE_ELEMENTS`` terms at a time, whatever ``n`` and
-``R`` are.  Up to ``n = 1023`` blocks are one count wide, so the count
-right of ``y`` is folded into per-count tables once, in ``O(n)`` per
-(prior, epsilon), and a response then costs ``O(1)``.  Every step is
-elementwise or a reduction within one row, so a row's result does not
-depend on the rows batched with it.  The sums carry ``epsilon*k``, so
-``epsilon*n`` above 2**33 is refused.
+counts are cut into at most ``_BLOCKS`` blocks of ``w`` counts.  Sums over
+whole blocks are cached per (prior, epsilon), in ``O(n)``; the first
+response in a block adds the block's own cumulative sums to make one row
+``(d, left mean, right mean)`` per count, in ``O(w)``; then a response costs
+``O(1)``.  At most ``_SLICE_ELEMENTS`` counts are summed at once or kept as
+rows.  A row's bits depend on its block alone, not on the batch or the rows
+cached.  The sums carry ``epsilon*k``, so ``epsilon*n`` above 2**33 is refused.
 """
 
 from __future__ import annotations
@@ -33,7 +29,7 @@ import numpy as np
 from scipy.special import expit
 
 from .mechanism import PrivacyLevel
-from .prior import BinomialPrior, log_mass_vector
+from .prior import _SLICE_ELEMENTS, BinomialPrior, log_mass_vector
 
 __all__ = [
     "naive_estimate",
@@ -44,8 +40,6 @@ __all__ = [
 
 # Blocks per prior; up to n = 1023 every block is one count wide.
 _BLOCKS = 1024
-# Rows x block width gathered at once: 2 MB per temporary array.
-_SLICE_ELEMENTS = 1 << 18
 
 
 def _check_response(y) -> float:
@@ -94,21 +88,6 @@ def posterior(prior: BinomialPrior, level: PrivacyLevel, y: float) -> np.ndarray
     return weights / total
 
 
-def _log_sums(terms: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """``log sum exp(terms)`` and ``log sum k*exp(terms)`` along the last axis, max-shifted.
-
-    Terms of shape ``(sides, rows, w)`` give sums of shape ``(sides, 2, rows)``;
-    a row whose terms are all ``-inf`` sums to ``-inf``.
-    """
-    top = terms.max(axis=-1)
-    top[~np.isfinite(top)] = 0.0
-    scaled = terms - top[..., None]
-    np.exp(scaled, out=scaled)
-    sums = np.stack([scaled.sum(axis=-1), (scaled * k).sum(axis=-1)], axis=1)
-    with np.errstate(divide="ignore"):
-        return top[:, None] + np.log(sums)
-
-
 def _check_epsilon_n(n: int, epsilon: float) -> None:
     """Raise ``ValueError`` if ``epsilon * n`` exceeds 2**33, the kernel's documented bound.
 
@@ -119,30 +98,27 @@ def _check_epsilon_n(n: int, epsilon: float) -> None:
         raise ValueError(f"epsilon * n must be at most 2**33, got {epsilon!r} * {n!r}")
 
 
-def _in_block_sums(mass, block, width: int, epsilon: float, start=None) -> np.ndarray:
-    """Log sums ``(side, weighting, row)`` over the given blocks; counts past ``n`` add nothing.
+def _in_block_sums(mass, block, width: int, epsilon: float) -> np.ndarray:
+    """Log cumulative sums ``(side, weighting, block, i)`` within blocks, ``i = 0..w``.
 
-    Side 0 sums ``m_k e^{epsilon k}``, side 1 ``m_k e^{-epsilon k}``.  Given
-    ``start``, the first count right of each response, side 0 keeps only the
-    counts before it and side 1 only the others.
+    Column ``i`` sums ``m_k e^{epsilon k}`` over a block's first ``i`` counts
+    on side 0 and ``m_k e^{-epsilon k}`` over its last ``i`` on side 1, plain
+    and ``k``-weighted; counts past ``n`` add nothing.  Each block is shifted
+    by its largest term meanwhile.
     """
     idx = block[:, None] * width + np.arange(width)
     k = idx.astype(np.float64)
-    gathered = np.where(idx < mass.size, mass.take(idx, mode="clip"), -np.inf)
-    terms = np.stack([gathered + epsilon * k, gathered - epsilon * k])
-    if start is not None:
-        is_left = idx < start[:, None]
-        terms[0][~is_left] = -np.inf
-        terms[1][is_left] = -np.inf
-    return _log_sums(terms, k)
-
-
-def _split(sums: np.ndarray) -> np.ndarray:
-    """Rows ``(d, left mean, right mean)`` from log sums, with ``d = log S_L - log S_R``."""
-    log_norm = sums[:, 0]
-    with np.errstate(invalid="ignore"):
-        side_means = np.where(log_norm == -np.inf, 0.0, np.exp(sums[:, 1] - log_norm))
-        return np.vstack([log_norm[0] - log_norm[1], side_means])
+    mass_k = np.where(idx < mass.size, mass.take(idx, mode="clip"), -np.inf)
+    sums = np.full((2, 2, block.size, width + 1), -np.inf)
+    plain = sums[:, 0, :, 1:]
+    plain[0], plain[1] = mass_k + epsilon * k, (mass_k - epsilon * k)[:, ::-1]
+    top = plain.max(axis=-1, keepdims=True)
+    top[~np.isfinite(top)] = 0.0
+    plain -= top
+    with np.errstate(divide="ignore"):
+        sums[:, 1, :, 1:] = plain + np.log(np.stack([k, k[:, ::-1]]))
+    np.logaddexp.accumulate(sums, axis=-1, out=sums)
+    return sums + top[:, None]
 
 
 def _mix(parts: np.ndarray, y: np.ndarray, epsilon: float, n: int, first: int) -> np.ndarray:
@@ -157,27 +133,25 @@ def _mix(parts: np.ndarray, y: np.ndarray, epsilon: float, n: int, first: int) -
 
 
 @functools.lru_cache(maxsize=128)
-def _block_tables(prior: BinomialPrior, epsilon: float) -> tuple[int, np.ndarray]:
-    """Block width and the cached tables for one (prior, epsilon).
+def _block_tables(prior: BinomialPrior, epsilon: float) -> tuple:
+    """Block width, block-level sums and the row cache of one (prior, epsilon).
 
-    Returns ``(w, tables)``.  For ``w > 1``, ``tables[0, :, j]`` holds
-    ``log sum m_k e^{epsilon k}`` and its ``k``-weighted twin over the blocks
-    before block ``j``, and ``tables[1, :, j]`` the same of
-    ``m_k e^{-epsilon k}`` over the blocks after it.  For ``w = 1`` the
-    count ``j`` right of a response is its whole block, so it is folded in
-    here: column ``j`` holds ``(d, left mean, right mean)``, ``j = 0..n+1``.
-    Keyed on the frozen prior's value, so equal priors share tables.
-
-    Raises:
-        ValueError: if ``epsilon * n`` exceeds 2**33.
+    Returns ``(w, tables, cache)``.  ``tables[0, :, j]`` holds the plain and
+    ``k``-weighted log sums of ``m_k e^{epsilon k}`` over the blocks before
+    block ``j``, ``tables[1, :, j]`` those of ``m_k e^{-epsilon k}`` over the
+    blocks after it.  ``cache[0]`` is ``(slots, rows)``, replaced whole so
+    that concurrent callers each read a consistent pair: block ``j``'s rows
+    start at column ``slots[j]`` of ``rows`` (-1: not built).  Keyed on the
+    frozen prior's value; ``cache_clear()`` drops the rows too.  Raises
+    ``ValueError`` if ``epsilon * n`` exceeds 2**33.
     """
     _check_epsilon_n(prior.n, epsilon)
     mass = log_mass_vector(prior)
     width = -(-mass.size // _BLOCKS)
     blocks = -(-mass.size // width)
-    step = max(1, _SLICE_ELEMENTS // width)  # whole blocks, at most _SLICE_ELEMENTS terms
-    left, right = np.concatenate([
-        _in_block_sums(mass, np.arange(lo, min(lo + step, blocks)), width, epsilon)
+    step = max(1, _SLICE_ELEMENTS // width)  # whole blocks, at most _SLICE_ELEMENTS counts
+    left, right = np.concatenate([  # copies, so that no chunk's sums stay alive
+        _in_block_sums(mass, np.arange(lo, min(lo + step, blocks)), width, epsilon)[..., -1].copy()
         for lo in range(0, blocks, step)
     ], axis=-1)
     empty = np.full((2, 1), -np.inf)
@@ -185,30 +159,50 @@ def _block_tables(prior: BinomialPrior, epsilon: float) -> tuple[int, np.ndarray
     # Suffix sums by a reversed accumulate, shifted so column j excludes block j.
     right = np.logaddexp.accumulate(right[:, ::-1], axis=1)[:, ::-1]
     tables = np.stack([left, np.hstack([right[:, 1:], empty, empty])])
-    if width == 1:
-        start = np.arange(mass.size + 1)
-        tables = _split(np.logaddexp(tables, _in_block_sums(mass, start, 1, epsilon, start)))
     tables.flags.writeable = False
-    return width, tables
+    return width, tables, [(np.full(blocks + 1, -1, dtype=np.int32), np.empty((3, 0)))]
+
+
+def _add_rows(prior: BinomialPrior, epsilon: float, block: np.ndarray) -> tuple:
+    """Cache the rows of the blocks in ``block`` not cached yet; return ``(slots, rows)``.
+
+    Each count of a block gets a row ``(d, left mean, right mean)``, ``d = log S_L -
+    log S_R``, that only the block sets.  A cache they would overfill is emptied first.
+    """
+    width, tables, cache = _block_tables(prior, epsilon)
+    slots, rows = cache[0]
+    new = np.unique(block[slots.take(block) < 0])
+    if rows.shape[1] + new.size * width > _SLICE_ELEMENTS:
+        slots, rows, new = np.full_like(slots, -1), rows[:, :0], np.unique(block)
+    sums = _in_block_sums(log_mass_vector(prior), new, width, epsilon)
+    # Left of the count at offset i lie the block's first i counts, right of it the last w - i.
+    in_block = np.stack([sums[0, ..., :-1], sums[1, ..., :0:-1]])
+    log_sums = np.logaddexp(tables[:, :, new, None], in_block).reshape(2, 2, -1)
+    with np.errstate(invalid="ignore"):
+        means = np.where(log_sums[:, 0] == -np.inf, 0.0, np.exp(log_sums[:, 1] - log_sums[:, 0]))
+        built = np.vstack([log_sums[0, 0] - log_sums[1, 0], means])
+    slots = slots.copy()
+    slots[new] = rows.shape[1] + width * np.arange(new.size)
+    cache[0] = result = (slots, np.hstack([rows, built]))
+    return result
 
 
 def _posterior_means(prior: BinomialPrior, level: PrivacyLevel, ys: np.ndarray) -> np.ndarray:
     """Posterior means of finite responses ``ys``, clipped to ``[0, n]``."""
     n, epsilon = prior.n, level.epsilon
-    width, tables = _block_tables(prior, epsilon)
+    width, _, cache = _block_tables(prior, epsilon)
     out = np.empty(ys.shape[0], dtype=np.float64)
-    step = max(1, _SLICE_ELEMENTS // width)
+    step = max(1, _SLICE_ELEMENTS // width)  # a slice touches at most _SLICE_ELEMENTS counts
     for lo in range(0, ys.shape[0], step):
         # Outside [0, n) one side is empty whatever y is, so clipping changes
         # no mean and keeps epsilon*y within epsilon*n.
         y = np.clip(ys[lo : lo + step], -1.0, float(n))
         start = np.floor(y).astype(np.int64) + 1  # first count right of y
-        if width == 1:
-            parts = tables.take(start, axis=1)
-        else:
-            block = start // width
-            in_block = _in_block_sums(log_mass_vector(prior), block, width, epsilon, start)
-            parts = _split(np.logaddexp(tables[:, :, block], in_block))
+        block = start // width
+        slots, rows = cache[0]
+        if slots.take(block).min() < 0:
+            slots, rows = _add_rows(prior, epsilon, block)
+        parts = rows.take(slots.take(block) + start - block * width, axis=1)
         out[lo : lo + step] = _mix(parts, y, epsilon, n, lo)
     return out
 

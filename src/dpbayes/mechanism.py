@@ -10,6 +10,7 @@ probability that the perturbed count escapes the valid range ``[0, n]``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,8 +44,8 @@ class PrivacyLevel:
     scale_b: float = field(init=False)
 
     def __post_init__(self) -> None:
-        eps = float(self.epsilon)
-        if isinstance(self.epsilon, (bool, np.bool_)) or not math.isfinite(eps) or eps <= 0.0:
+        eps = _check_real(self.epsilon, "epsilon")
+        if not math.isfinite(eps) or eps <= 0.0:
             raise ValueError(f"epsilon must be a positive finite real, got {self.epsilon!r}")
         if not math.isfinite(_laplace_quantile(_SMALLEST_UNIFORM, 1.0 / eps)):
             raise ValueError(f"epsilon {self.epsilon!r} is too small: its noise would overflow")
@@ -136,6 +137,13 @@ def _check_integer(value, what: str, minimum: int | None = None) -> int:
     if minimum is not None and number < minimum:
         raise ValueError(f"{what} must be an integer of at least {minimum}, got {value!r}")
     return number
+
+
+def _check_real(value, what: str) -> float:
+    """The package's one real-number check at its edges; refuses NaN, bools and strings."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or math.isnan(value):
+        raise ValueError(f"{what} must be a real number, got {value!r}")
+    return float(value)
 
 
 def out_of_range_probability(a: int, n: int, level: PrivacyLevel) -> float:

@@ -159,6 +159,21 @@ class TestSweep:
         assert (code, out) == (2, "")
         assert key in err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("p_values", ["0.3"]), ("epsilon_values", ["1.0"]), ("p_values", [0.3, None]),
+         ("p_values", [True]), ("epsilon_values", [False])],
+    )
+    def test_non_numeric_config_grid_values_are_usage_errors(self, capsys, tmp_path, key, value):
+        # float() would parse "0.3"; JSON true would pass as 1.
+        settings = {"n_values": [100], "p_values": [0.3], "epsilon_values": [1.0],
+                    "runs": 60, "seed": 4}
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({**settings, key: value}))
+        code, out, err = run_cli(capsys, "sweep", "--config", str(config))
+        assert (code, out) == (2, "")
+        assert key in err
+
     @pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**64 + 4)])
     def test_seed_outside_64_bits_is_usage_error(self, capsys, monkeypatch, seed):
         argv = ("sweep", "--n", "100", "--p", "0.3", "--eps", "1.0", "--runs", "50")

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 from functools import lru_cache
 
@@ -296,10 +297,13 @@ class TestEpsilonNBound:
 
 
 class TestBatch:
-    def test_matches_scalar_bitwise(self):
-        prior = BinomialPrior(n=100, p=0.3)
+    @pytest.mark.parametrize("n", [100, 1024, 20_000, 10**6])
+    def test_matches_scalar_bitwise(self, n):
+        # Responses across the whole range, and a run through the blocks
+        # around the prior mean.
+        prior = BinomialPrior(n=n, p=0.3)
         level = calibrate(0.1)
-        ys = np.linspace(-40.0, 140.0, 500)
+        ys = np.concatenate([np.linspace(-40.0, n + 40.0, 500), 0.3 * n + np.arange(-30.0, 30.0, 0.3)])
         batch = bayes_estimate_batch(prior, level, ys)
         scalar = np.array([bayes_estimate(prior, level, y) for y in ys])
         assert np.array_equal(batch, scalar)
@@ -325,24 +329,30 @@ class TestBatch:
         assert np.array_equal([bayes_estimate(prior, level, y) for y in ys[:200]], full[:200])
 
     @pytest.mark.parametrize(
-        "n, rows", [(10_000, 100_000), (100_000, 100_000), (10**6, 1000)],
-        ids=["10000", "100000", "1000000"],
+        "n, rows, draw",
+        [(10_000, 100_000, "normal"), (100_000, 100_000, "normal"), (10**6, 1000, "normal"),
+         (10**6, 1000, "uniform")],
+        ids=["10000", "100000", "1000000", "1000000-uniform"],
     )
-    def test_memory_stays_bounded(self, n, rows):
+    def test_memory_stays_bounded(self, n, rows, draw):
         # The dense kernel needed rows x (n+1) doubles per chunk: about 1 GB
         # at n = 10**4.  At n = 10**6 the block tables are built a slice at
         # a time; the cached 8 MB log-masses and their temporaries remain.
+        # Responses drawn uniformly over [-1, n + 1] touch most blocks, so
+        # the row cache fills up and is emptied along the way.
         # Measured in a fresh process as growth of VmHWM, which, unlike
         # ru_maxrss, does not inherit the peak of the process that started it.
         if not os.path.exists("/proc/self/status"):
             pytest.skip("needs /proc/self/status")
+        draws = {"normal": f"normal(0.3 * {n}, 50.0, {rows})",
+                 "uniform": f"uniform(-1.0, {n} + 1.0, {rows})"}
         code = (
             "import numpy as np\n"
             "from dpbayes import BinomialPrior, bayes_estimate_batch, calibrate\n"
             "def peak_kib():\n"
             "    with open('/proc/self/status') as status:\n"
             "        return int(next(l for l in status if l.startswith('VmHWM:')).split()[1])\n"
-            f"ys = np.random.default_rng(0).normal(0.3 * {n}, 50.0, {rows})\n"
+            f"ys = np.random.default_rng(0).{draws[draw]}\n"
             "before = peak_kib()\n"
             f"bayes_estimate_batch(BinomialPrior({n}, 0.3), calibrate(0.1), ys)\n"
             "print(peak_kib() - before)\n"
@@ -351,6 +361,54 @@ class TestBatch:
                                check=True, timeout=120)
         growth_mb = int(child.stdout) / 1024
         assert growth_mb < 40
+
+    def test_row_cache_is_invisible(self):
+        # At n = 10**6 blocks are 977 counts wide, so the row cache holds
+        # the rows of 67 blocks; these responses touch far more, and the
+        # cache is emptied and refilled while each batch runs.
+        n = 10**6
+        prior, level = BinomialPrior(n=n, p=0.3), calibrate(0.5)
+        ys = np.random.default_rng(7).uniform(-1.0, n + 1.0, 300)
+        width = -(-(n + 1) // estimators_module._BLOCKS)
+        touched = np.unique((np.floor(ys) + 1) // width).size
+        assert touched * width > 2 * estimators_module._SLICE_ELEMENTS
+        first = bayes_estimate_batch(prior, level, ys)
+        again = bayes_estimate_batch(prior, level, ys)
+        estimators_module._block_tables.cache_clear()
+        fresh = bayes_estimate_batch(prior, level, ys)
+        assert np.array_equal(again, first)
+        assert np.array_equal(fresh, first)
+
+    def test_concurrent_callers_read_consistent_rows(self):
+        # Threads share each (prior, epsilon)'s row cache.  Responses spread
+        # over every block make each batch empty and refill it, so a caller
+        # reading slots and rows from different fills would get wrong rows.
+        n = 200_000
+        prior, level = BinomialPrior(n=n, p=0.3), calibrate(0.5)
+        batches = [np.random.default_rng(seed).uniform(-1.0, n + 1.0, 400) for seed in range(6)]
+        estimators_module._block_tables.cache_clear()
+        want = [bayes_estimate_batch(prior, level, ys) for ys in batches]
+        estimators_module._block_tables.cache_clear()
+        results = {}
+
+        def work(worker):
+            for i in range(len(batches)):
+                ys = batches[(i + worker) % len(batches)]
+                results[worker, i] = np.array_equal(
+                    bayes_estimate_batch(prior, level, ys), want[(i + worker) % len(batches)])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(w,)) for w in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == 4 * len(batches) and all(results.values())
 
     @pytest.mark.parametrize("p", [0.02, 0.3, 0.98])
     def test_block_widths_agree(self, monkeypatch, p):

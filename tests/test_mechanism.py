@@ -55,6 +55,14 @@ class TestCalibrate:
         with pytest.raises(ValueError):
             PrivacyLevel(epsilon)
 
+    @pytest.mark.parametrize("epsilon", ["0.5", "1", None, np.array(0.5)])
+    def test_rejects_non_reals(self, epsilon):
+        # float("0.5") would parse the string as 0.5.
+        with pytest.raises(ValueError, match="epsilon must be a real number"):
+            calibrate(epsilon)
+        with pytest.raises(ValueError, match="epsilon must be a real number"):
+            PrivacyLevel(epsilon)
+
     def test_direct_construction_validates_too(self):
         with pytest.raises(ValueError):
             PrivacyLevel(-0.5)

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy import stats
+from scipy.special import gammaln
 
 from dpbayes import (
     BinomialPrior,
@@ -15,7 +17,7 @@ from dpbayes import (
     log_mass_vector,
     uncertainty_widths,
 )
-from dpbayes.prior import _quantiles
+from dpbayes.prior import _SLICE_ELEMENTS, _quantiles
 
 
 class TestValidation:
@@ -44,6 +46,16 @@ class TestValidation:
     def test_accepts_degenerate_p(self):
         assert BinomialPrior(n=10, p=0.0).p == 0.0
         assert BinomialPrior(n=10, p=1.0).p == 1.0
+
+    @pytest.mark.parametrize("p", ["0.3", "1", None, np.array(0.3)])
+    def test_rejects_non_reals(self, p):
+        # float("0.3") would parse the string as 0.3.
+        with pytest.raises(ValueError, match="p must be a real number"):
+            BinomialPrior(n=10, p=p)
+
+    def test_accepts_numpy_and_exact_reals(self):
+        assert BinomialPrior(n=10, p=np.float32(0.25)).p == 0.25
+        assert BinomialPrior(n=10, p=Fraction(1, 4)).p == 0.25
 
 
 class TestLogMass:
@@ -92,6 +104,14 @@ class TestLogMass:
         vector = log_mass_vector(BinomialPrior(n=10, p=0.3))
         with pytest.raises(ValueError):
             vector[0] = 0.0
+
+    def test_slices_are_invisible(self):
+        # The masses are filled a slice at a time; they equal the one-shot formula.
+        n, p = 2 * _SLICE_ELEMENTS + 5, 0.3
+        k = np.arange(n + 1, dtype=np.float64)
+        whole = (gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
+                 + k * math.log(p) + (n - k) * math.log1p(-p))
+        assert np.array_equal(log_mass_vector(BinomialPrior(n=n, p=p)), whole)
 
     def test_cache_keys_on_the_prior(self):
         # The prior normalises numpy scalars, so equal priors share one array.
