@@ -8,22 +8,24 @@ population.  The posterior-mean estimator reweights every candidate count
 lands back inside ``[0, n]``.
 
 The likelihood splits at ``y``: counts ``k <= y`` weigh ``m_k e^{epsilon k}``
-times ``e^{-epsilon y}`` and counts ``k > y`` weigh ``m_k e^{-epsilon k}``
-times ``e^{epsilon y}``.  So every posterior mean needs only a prefix sum
-left of ``y`` and a suffix sum right of it, plain and ``k``-weighted.  The
-counts are cut into at most ``_BLOCKS`` blocks of ``w`` counts.  Sums over
-whole blocks are cached per (prior, epsilon), in ``O(n)``; the first
-response in a block adds the block's own cumulative sums to make one row
-``(d, left mean, right mean)`` per count, in ``O(w)``; then a response costs
-``O(1)``.  At most ``_SLICE_ELEMENTS`` counts are summed at once or kept as
-rows.  A row's bits depend on its block alone, not on the batch or the rows
-cached.  The sums carry ``epsilon*k``, so ``epsilon*n`` above 2**33 is refused.
+times ``e^{-epsilon y}``, counts ``k > y`` weigh ``m_k e^{-epsilon k}`` times
+``e^{epsilon y}``.  So a posterior mean needs only a prefix sum left of ``y``
+and a suffix sum right of it, plain and ``k``-weighted.  The counts are cut
+into at most ``_BLOCKS`` blocks of ``w`` counts.  Sums over whole blocks are
+cached per (prior, epsilon), in ``O(n)``; the first response in a block adds
+the block's own cumulative sums to make one row ``(d, left mean, right
+mean)`` per count, in ``O(w)``; then a response costs ``O(1)``.  At most
+``_SLICE_ELEMENTS`` counts are kept as rows, and a batch spread wider is
+taken in order of ``y``.  A row's bits depend on its block alone.  The sums
+carry ``epsilon*k``, so ``epsilon*n`` above 2**33 is refused.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import mmap
+import threading
 
 import numpy as np
 from scipy.special import expit
@@ -40,6 +42,8 @@ __all__ = [
 
 # Blocks per prior; up to n = 1023 every block is one count wide.
 _BLOCKS = 1024
+# Counts summed at once while block tables are built, so their temporaries stay small.
+_TABLE_ELEMENTS = 1 << 12
 
 
 def _check_response(y) -> float:
@@ -121,17 +125,6 @@ def _in_block_sums(mass, block, width: int, epsilon: float) -> np.ndarray:
     return sums + top[:, None]
 
 
-def _mix(parts: np.ndarray, y: np.ndarray, epsilon: float, n: int, first: int) -> np.ndarray:
-    """Posterior means in ``[0, n]`` from rows ``(d, left mean, right mean)`` at clipped ``y``."""
-    x = parts[0] - 2.0 * epsilon * y  # log-odds of the mass left of y against the right
-    bad = np.flatnonzero(np.isnan(x))
-    if bad.size:
-        raise FloatingPointError(f"posterior normalisation degenerated at row {first + bad[0]}")
-    # expit(-x), not 1 - expit(x): the right share may be far below 1e-16.
-    # Means of counts in [0, n] can only leave the range by rounding.
-    return np.clip(expit(x) * parts[1] + expit(-x) * parts[2], 0.0, float(n))
-
-
 @functools.lru_cache(maxsize=128)
 def _block_tables(prior: BinomialPrior, epsilon: float) -> tuple:
     """Block width, block-level sums and the row cache of one (prior, epsilon).
@@ -139,20 +132,19 @@ def _block_tables(prior: BinomialPrior, epsilon: float) -> tuple:
     Returns ``(w, tables, cache)``.  ``tables[0, :, j]`` holds the plain and
     ``k``-weighted log sums of ``m_k e^{epsilon k}`` over the blocks before
     block ``j``, ``tables[1, :, j]`` those of ``m_k e^{-epsilon k}`` over the
-    blocks after it.  ``cache[0]`` is ``(slots, rows)``, replaced whole so
-    that concurrent callers each read a consistent pair: block ``j``'s rows
-    start at column ``slots[j]`` of ``rows`` (-1: not built).  Keyed on the
-    frozen prior's value; ``cache_clear()`` drops the rows too.  Raises
+    blocks after it.  ``cache`` is ``[(slots, rows, used), lock, capacity]``:
+    block ``j``'s rows start at ``rows[slots[j]]`` (-1: not built).  Keyed on
+    the frozen prior's value; ``cache_clear()`` drops the rows too.  Raises
     ``ValueError`` if ``epsilon * n`` exceeds 2**33.
     """
     _check_epsilon_n(prior.n, epsilon)
     mass = log_mass_vector(prior)
     width = -(-mass.size // _BLOCKS)
     blocks = -(-mass.size // width)
-    step = max(1, _SLICE_ELEMENTS // width)  # whole blocks, at most _SLICE_ELEMENTS counts
+    chunk = max(1, _TABLE_ELEMENTS // width)  # whole blocks
     left, right = np.concatenate([  # copies, so that no chunk's sums stay alive
-        _in_block_sums(mass, np.arange(lo, min(lo + step, blocks)), width, epsilon)[..., -1].copy()
-        for lo in range(0, blocks, step)
+        _in_block_sums(mass, np.arange(lo, min(lo + chunk, blocks)), width, epsilon)[..., -1].copy()
+        for lo in range(0, blocks, chunk)
     ], axis=-1)
     empty = np.full((2, 1), -np.inf)
     left = np.logaddexp.accumulate(np.hstack([empty, left]), axis=1)
@@ -160,50 +152,68 @@ def _block_tables(prior: BinomialPrior, epsilon: float) -> tuple:
     right = np.logaddexp.accumulate(right[:, ::-1], axis=1)[:, ::-1]
     tables = np.stack([left, np.hstack([right[:, 1:], empty, empty])])
     tables.flags.writeable = False
-    return width, tables, [(np.full(blocks + 1, -1, dtype=np.int32), np.empty((3, 0)))]
+    capacity = min(max(1, _SLICE_ELEMENTS // width), blocks + 1) * width  # one slice's blocks
+    empty_rows = (np.full(blocks + 1, -1, dtype=np.int32), np.empty((0, 3)), 0)
+    return width, tables, [empty_rows, threading.Lock(), capacity]
 
 
-def _add_rows(prior: BinomialPrior, epsilon: float, block: np.ndarray) -> tuple:
-    """Cache the rows of the blocks in ``block`` not cached yet; return ``(slots, rows)``.
+def _add_rows(mass, epsilon: float, width: int, tables, cache: list, block) -> tuple:
+    """Build the rows of the blocks in ``block`` not cached yet; return ``cache[0]``.
 
     Each count of a block gets a row ``(d, left mean, right mean)``, ``d = log S_L -
-    log S_R``, that only the block sets.  A cache they would overfill is emptied first.
+    log S_R``, that only the block sets.  Writers hold the lock and fill only rows
+    past ``used``, then replace ``cache[0]`` whole, so no reader's rows change under
+    it.  A cache the new rows would overfill is replaced by an empty one first.
     """
-    width, tables, cache = _block_tables(prior, epsilon)
-    slots, rows = cache[0]
-    new = np.unique(block[slots.take(block) < 0])
-    if rows.shape[1] + new.size * width > _SLICE_ELEMENTS:
-        slots, rows, new = np.full_like(slots, -1), rows[:, :0], np.unique(block)
-    sums = _in_block_sums(log_mass_vector(prior), new, width, epsilon)
-    # Left of the count at offset i lie the block's first i counts, right of it the last w - i.
-    in_block = np.stack([sums[0, ..., :-1], sums[1, ..., :0:-1]])
-    log_sums = np.logaddexp(tables[:, :, new, None], in_block).reshape(2, 2, -1)
-    with np.errstate(invalid="ignore"):
-        means = np.where(log_sums[:, 0] == -np.inf, 0.0, np.exp(log_sums[:, 1] - log_sums[:, 0]))
-        built = np.vstack([log_sums[0, 0] - log_sums[1, 0], means])
-    slots = slots.copy()
-    slots[new] = rows.shape[1] + width * np.arange(new.size)
-    cache[0] = result = (slots, np.hstack([rows, built]))
-    return result
+    with cache[1]:
+        slots, rows, used = cache[0]
+        new = np.unique(block[slots.take(block) < 0])
+        if used + new.size * width > rows.shape[0]:
+            # A private anonymous mapping: only the pages rows are written to
+            # take memory, where np.empty may hand out heap pages touched before.
+            rows = np.frombuffer(mmap.mmap(-1, 24 * cache[2], flags=mmap.MAP_PRIVATE))
+            slots, rows, used, new = np.full_like(slots, -1), rows.reshape(-1, 3), 0, np.unique(block)
+        sums = _in_block_sums(mass, new, width, epsilon)
+        # Left of the count at offset i lie the block's first i counts, right of it the last w - i.
+        in_block = np.stack([sums[0, ..., :-1], sums[1, ..., :0:-1]])
+        log_sums = np.logaddexp(tables[:, :, new, None], in_block).reshape(2, 2, -1)
+        end = used + log_sums.shape[-1]
+        with np.errstate(invalid="ignore"):
+            means = np.where(log_sums[:, 0] == -np.inf, 0.0, np.exp(log_sums[:, 1] - log_sums[:, 0]))
+            rows[used:end] = np.vstack([log_sums[0, 0] - log_sums[1, 0], means]).T
+        slots = slots.copy()
+        slots[new] = used + width * np.arange(new.size)
+        cache[0] = (slots, rows, end)
+        return cache[0]
 
 
 def _posterior_means(prior: BinomialPrior, level: PrivacyLevel, ys: np.ndarray) -> np.ndarray:
     """Posterior means of finite responses ``ys``, clipped to ``[0, n]``."""
     n, epsilon = prior.n, level.epsilon
-    width, _, cache = _block_tables(prior, epsilon)
+    width, tables, cache = _block_tables(prior, epsilon)
     out = np.empty(ys.shape[0], dtype=np.float64)
     step = max(1, _SLICE_ELEMENTS // width)  # a slice touches at most _SLICE_ELEMENTS counts
+    # A batch of more than one slice goes in order of y, so that each block's
+    # rows are built about once however many blocks the batch spreads over.
+    order = np.argsort(ys, kind="stable") if ys.shape[0] > step else None
     for lo in range(0, ys.shape[0], step):
+        pick = slice(lo, lo + step) if order is None else order[lo : lo + step]
         # Outside [0, n) one side is empty whatever y is, so clipping changes
         # no mean and keeps epsilon*y within epsilon*n.
-        y = np.clip(ys[lo : lo + step], -1.0, float(n))
+        y = np.clip(ys[pick], -1.0, float(n))
         start = np.floor(y).astype(np.int64) + 1  # first count right of y
         block = start // width
-        slots, rows = cache[0]
+        slots, rows, _ = cache[0]
         if slots.take(block).min() < 0:
-            slots, rows = _add_rows(prior, epsilon, block)
-        parts = rows.take(slots.take(block) + start - block * width, axis=1)
-        out[lo : lo + step] = _mix(parts, y, epsilon, n, lo)
+            slots, rows, _ = _add_rows(log_mass_vector(prior), epsilon, width, tables, cache, block)
+        d, left, right = rows.take(slots.take(block) + start - block * width, axis=0).T
+        x = d - 2.0 * epsilon * y  # log-odds of the mass left of y against the right
+        # expit(-x), not 1 - expit(x): the right share may be far below 1e-16.
+        # Means of counts in [0, n] can only leave the range by rounding.
+        out[pick] = np.clip(expit(x) * left + expit(-x) * right, 0.0, float(n))
+    bad = np.flatnonzero(np.isnan(out))
+    if bad.size:
+        raise FloatingPointError(f"posterior normalisation degenerated at row {bad[0]}")
     return out
 
 

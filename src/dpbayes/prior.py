@@ -24,7 +24,7 @@ __all__ = [
     "uncertainty_widths",
 ]
 
-# Counts computed at once, here and in the posterior kernel: 0.5 MB per temporary array.
+# Counts computed at once here (0.5 MB per temporary array) and kept as rows by the posterior kernel.
 _SLICE_ELEMENTS = 1 << 16
 
 

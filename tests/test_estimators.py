@@ -310,8 +310,9 @@ class TestBatch:
 
     @pytest.mark.parametrize("n", [50, 10_000])
     def test_batching_is_invisible(self, n):
-        # At n = 10**4 blocks are 10 counts wide and a slice holds 26214 rows,
-        # so the splits below cut across the first slice boundary.
+        # At n = 10**4 blocks are 10 counts wide and a slice holds 6553 responses,
+        # so the splits below cut across the first slice boundary, and batches
+        # of more than one slice are taken in order of y.
         prior = BinomialPrior(n=n, p=0.3)
         level = calibrate(0.5)
         rng = np.random.default_rng(5)
@@ -336,8 +337,9 @@ class TestBatch:
     )
     def test_memory_stays_bounded(self, n, rows, draw):
         # The dense kernel needed rows x (n+1) doubles per chunk: about 1 GB
-        # at n = 10**4.  At n = 10**6 the block tables are built a slice at
-        # a time; the cached 8 MB log-masses and their temporaries remain.
+        # at n = 10**4.  At n = 10**6 the block tables are built a few
+        # blocks at a time; the cached 8 MB log-masses and their temporaries
+        # remain.
         # Responses drawn uniformly over [-1, n + 1] touch most blocks, so
         # the row cache fills up and is emptied along the way.
         # Measured in a fresh process as growth of VmHWM, which, unlike
@@ -379,13 +381,38 @@ class TestBatch:
         assert np.array_equal(again, first)
         assert np.array_equal(fresh, first)
 
-    def test_concurrent_callers_read_consistent_rows(self):
-        # Threads share each (prior, epsilon)'s row cache.  Responses spread
-        # over every block make each batch empty and refill it, so a caller
-        # reading slots and rows from different fills would get wrong rows.
+    def test_spread_batch_builds_each_block_about_once(self, monkeypatch):
+        # 10**4 responses uniform over [-1, n + 1] touch nearly every block,
+        # far more than the row cache holds.  Taken in order of y, each
+        # block's rows are built once, plus at most one rebuild per slice.
+        n = 10**6
+        prior, level = BinomialPrior(n=n, p=0.3), calibrate(0.5)
+        ys = np.random.default_rng(11).uniform(-1.0, n + 1.0, 10_000)
+        estimators_module._block_tables.cache_clear()
+        width = estimators_module._block_tables(prior, level.epsilon)[0]
+        built = []
+        in_block_sums = estimators_module._in_block_sums
+
+        def counting(mass, block, *args):
+            built.append(block.size)
+            return in_block_sums(mass, block, *args)
+
+        monkeypatch.setattr(estimators_module, "_in_block_sums", counting)
+        bayes_estimate_batch(prior, level, ys)
+        blocks = -(-(n + 1) // width) + 1
+        slices = -(-ys.size // (estimators_module._SLICE_ELEMENTS // width))
+        assert sum(built) <= blocks + slices
+
+    @pytest.mark.parametrize("size, count", [(400, 6), (8, 300)], ids=["refill", "append"])
+    def test_concurrent_callers_read_consistent_rows(self, size, count):
+        # Threads share each (prior, epsilon)'s row cache.  Batches of 400
+        # responses spread over every block empty and refill it; batches of 8
+        # add a few blocks each to the same rows.  A caller reading slots and
+        # rows from different fills, or rows another writer overwrote, would
+        # get wrong rows.
         n = 200_000
         prior, level = BinomialPrior(n=n, p=0.3), calibrate(0.5)
-        batches = [np.random.default_rng(seed).uniform(-1.0, n + 1.0, 400) for seed in range(6)]
+        batches = [np.random.default_rng(seed).uniform(-1.0, n + 1.0, size) for seed in range(count)]
         estimators_module._block_tables.cache_clear()
         want = [bayes_estimate_batch(prior, level, ys) for ys in batches]
         estimators_module._block_tables.cache_clear()
@@ -412,8 +439,8 @@ class TestBatch:
 
     @pytest.mark.parametrize("p", [0.02, 0.3, 0.98])
     def test_block_widths_agree(self, monkeypatch, p):
-        # n = 100 has one-count blocks and per-count tables; with 8 blocks
-        # the same prior takes the block path, 13 counts a block.
+        # n = 100 has one-count blocks; with 8 blocks the same prior has
+        # blocks 13 counts wide.
         prior = BinomialPrior(n=100, p=p)
         ys = np.linspace(-40.0, 140.0, 500)
         levels = [calibrate(epsilon) for epsilon in (0.05, 2.0, 5.0)]
@@ -447,8 +474,8 @@ class TestBatch:
             lambda prior: np.full(prior.n + 1, -np.inf),
         )
         # The block tables are cached per (prior, epsilon): build them from
-        # the patched masses, and drop them afterwards.  n = 4 reads
-        # per-count tables, n = 2000 blocks two counts wide.
+        # the patched masses, and drop them afterwards.  n = 4 has one-count
+        # blocks, n = 2000 blocks two counts wide.
         estimators_module._block_tables.cache_clear()
         try:
             for n in (4, 2000):
