@@ -4,7 +4,7 @@
 Writes the full sweep CSV, then prints four views of it: mean absolute
 error against privacy level for each database size, the match-probability
 sweep, and the share of runs where the corrected estimate beats the raw
-response.  The full grid at the default 10^5 runs takes about 2 seconds
+response.  The full grid at the default 10^5 runs takes about 1.2 seconds
 on a 2-core machine; pass --runs 2000 for a quick look.
 """
 

@@ -14,10 +14,10 @@ and a suffix sum right of it, plain and ``k``-weighted.  The counts are cut
 into at most ``_BLOCKS`` blocks of ``w`` counts.  Sums over whole blocks are
 cached per (prior, epsilon), in ``O(n)``; the first response in a block adds
 the block's own cumulative sums to make one row ``(d, left mean, right
-mean)`` per count, in ``O(w)``; then a response costs ``O(1)``.  At most
-``_SLICE_ELEMENTS`` counts are kept as rows, and a batch spread wider is
-taken in order of ``y``.  A row's bits depend on its block alone.  The sums
-carry ``epsilon*k``, so ``epsilon*n`` above 2**33 is refused.
+mean)`` per count, in ``O(w)``, kept at the count's own index; then a
+response costs ``O(1)``.  A row's bits depend on its block alone, and only
+the pages of the blocks that responses touch take memory.  The sums carry
+``epsilon*k``, so ``epsilon*n`` above 2**33 is refused.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 from scipy.special import expit
 
 from .mechanism import PrivacyLevel
-from .prior import _SLICE_ELEMENTS, BinomialPrior, log_mass_vector
+from .prior import BinomialPrior, log_mass_vector
 
 __all__ = [
     "naive_estimate",
@@ -42,8 +42,8 @@ __all__ = [
 
 # Blocks per prior; up to n = 1023 every block is one count wide.
 _BLOCKS = 1024
-# Counts summed at once while block tables are built, so their temporaries stay small.
-_TABLE_ELEMENTS = 1 << 12
+# Counts per table or row build, and responses per slice, so that temporaries stay small.
+_CHUNK_ELEMENTS = 1 << 12
 
 
 def _check_response(y) -> float:
@@ -127,21 +127,21 @@ def _in_block_sums(mass, block, width: int, epsilon: float) -> np.ndarray:
 
 @functools.lru_cache(maxsize=128)
 def _block_tables(prior: BinomialPrior, epsilon: float) -> tuple:
-    """Block width, block-level sums and the row cache of one (prior, epsilon).
+    """Block width, block-level sums and the row store of one (prior, epsilon).
 
-    Returns ``(w, tables, cache)``.  ``tables[0, :, j]`` holds the plain and
-    ``k``-weighted log sums of ``m_k e^{epsilon k}`` over the blocks before
-    block ``j``, ``tables[1, :, j]`` those of ``m_k e^{-epsilon k}`` over the
-    blocks after it.  ``cache`` is ``[(slots, rows, used), lock, capacity]``:
-    block ``j``'s rows start at ``rows[slots[j]]`` (-1: not built).  Keyed on
-    the frozen prior's value; ``cache_clear()`` drops the rows too.  Raises
-    ``ValueError`` if ``epsilon * n`` exceeds 2**33.
+    Returns ``(w, tables, rows, built, lock)``.  ``tables[0, :, j]`` holds the
+    plain and ``k``-weighted log sums of ``m_k e^{epsilon k}`` over the blocks
+    before block ``j``, ``tables[1, :, j]`` those of ``m_k e^{-epsilon k}`` over
+    the blocks after it.  Row ``j`` serves the responses whose first count right
+    of ``y`` is ``j``, once ``built[j // w]`` is set.  Keyed on the frozen prior's
+    value; ``cache_clear()`` drops the rows too.  Raises ``ValueError`` if
+    ``epsilon * n`` exceeds 2**33.
     """
     _check_epsilon_n(prior.n, epsilon)
     mass = log_mass_vector(prior)
     width = -(-mass.size // _BLOCKS)
     blocks = -(-mass.size // width)
-    chunk = max(1, _TABLE_ELEMENTS // width)  # whole blocks
+    chunk = max(1, _CHUNK_ELEMENTS // width)  # whole blocks
     left, right = np.concatenate([  # copies, so that no chunk's sums stay alive
         _in_block_sums(mass, np.arange(lo, min(lo + chunk, blocks)), width, epsilon)[..., -1].copy()
         for lo in range(0, blocks, chunk)
@@ -152,65 +152,51 @@ def _block_tables(prior: BinomialPrior, epsilon: float) -> tuple:
     right = np.logaddexp.accumulate(right[:, ::-1], axis=1)[:, ::-1]
     tables = np.stack([left, np.hstack([right[:, 1:], empty, empty])])
     tables.flags.writeable = False
-    capacity = min(max(1, _SLICE_ELEMENTS // width), blocks + 1) * width  # one slice's blocks
-    empty_rows = (np.full(blocks + 1, -1, dtype=np.int32), np.empty((0, 3)), 0)
-    return width, tables, [empty_rows, threading.Lock(), capacity]
+    # A private anonymous mapping: only the pages rows are written to take
+    # memory, where np.empty may hand out heap pages touched before.
+    rows = np.frombuffer(mmap.mmap(-1, 24 * (blocks + 1) * width, flags=mmap.MAP_PRIVATE))
+    return width, tables, rows.reshape(-1, 3), np.zeros(blocks + 1, dtype=bool), threading.Lock()
 
 
-def _add_rows(mass, epsilon: float, width: int, tables, cache: list, block) -> tuple:
-    """Build the rows of the blocks in ``block`` not cached yet; return ``cache[0]``.
+def _add_rows(mass, epsilon: float, store: tuple, block) -> None:
+    """Build the rows ``(d, left mean, right mean)``, ``d = log S_L - log S_R``, of new blocks.
 
-    Each count of a block gets a row ``(d, left mean, right mean)``, ``d = log S_L -
-    log S_R``, that only the block sets.  Writers hold the lock and fill only rows
-    past ``used``, then replace ``cache[0]`` whole, so no reader's rows change under
-    it.  A cache the new rows would overfill is replaced by an empty one first.
+    A row's bits depend on its block alone.  Under the lock, rows are written in
+    place before their blocks' flags are set, and never move or change after, so
+    a reader that sees a block's flag set reads its finished rows.
     """
-    with cache[1]:
-        slots, rows, used = cache[0]
-        new = np.unique(block[slots.take(block) < 0])
-        if used + new.size * width > rows.shape[0]:
-            # A private anonymous mapping: only the pages rows are written to
-            # take memory, where np.empty may hand out heap pages touched before.
-            rows = np.frombuffer(mmap.mmap(-1, 24 * cache[2], flags=mmap.MAP_PRIVATE))
-            slots, rows, used, new = np.full_like(slots, -1), rows.reshape(-1, 3), 0, np.unique(block)
-        sums = _in_block_sums(mass, new, width, epsilon)
-        # Left of the count at offset i lie the block's first i counts, right of it the last w - i.
-        in_block = np.stack([sums[0, ..., :-1], sums[1, ..., :0:-1]])
-        log_sums = np.logaddexp(tables[:, :, new, None], in_block).reshape(2, 2, -1)
-        end = used + log_sums.shape[-1]
-        with np.errstate(invalid="ignore"):
-            means = np.where(log_sums[:, 0] == -np.inf, 0.0, np.exp(log_sums[:, 1] - log_sums[:, 0]))
-            rows[used:end] = np.vstack([log_sums[0, 0] - log_sums[1, 0], means]).T
-        slots = slots.copy()
-        slots[new] = used + width * np.arange(new.size)
-        cache[0] = (slots, rows, end)
-        return cache[0]
+    width, tables, rows, built, lock = store
+    with lock:
+        new = np.unique(block[~built.take(block)])
+        step = max(1, _CHUNK_ELEMENTS // width)  # whole blocks
+        for part in np.split(new, range(step, new.size, step)):
+            sums = _in_block_sums(mass, part, width, epsilon)
+            # Left of the count at offset i lie the block's first i counts, right of it the last w - i.
+            in_block = np.stack([sums[0, ..., :-1], sums[1, ..., :0:-1]])
+            log_sums = np.logaddexp(tables[:, :, part, None], in_block)
+            with np.errstate(invalid="ignore"):
+                means = np.where(log_sums[:, 0] == -np.inf, 0.0, np.exp(log_sums[:, 1] - log_sums[:, 0]))
+                rows.reshape(-1, width, 3)[part] = np.stack([log_sums[0, 0] - log_sums[1, 0], *means], -1)
+            built[part] = True
 
 
 def _posterior_means(prior: BinomialPrior, level: PrivacyLevel, ys: np.ndarray) -> np.ndarray:
     """Posterior means of finite responses ``ys``, clipped to ``[0, n]``."""
     n, epsilon = prior.n, level.epsilon
-    width, tables, cache = _block_tables(prior, epsilon)
+    width, _, rows, built, _ = store = _block_tables(prior, epsilon)
     out = np.empty(ys.shape[0], dtype=np.float64)
-    step = max(1, _SLICE_ELEMENTS // width)  # a slice touches at most _SLICE_ELEMENTS counts
-    # A batch of more than one slice goes in order of y, so that each block's
-    # rows are built about once however many blocks the batch spreads over.
-    order = np.argsort(ys, kind="stable") if ys.shape[0] > step else None
-    for lo in range(0, ys.shape[0], step):
-        pick = slice(lo, lo + step) if order is None else order[lo : lo + step]
+    for lo in range(0, ys.shape[0], _CHUNK_ELEMENTS):
         # Outside [0, n) one side is empty whatever y is, so clipping changes
         # no mean and keeps epsilon*y within epsilon*n.
-        y = np.clip(ys[pick], -1.0, float(n))
+        y = np.clip(ys[lo : lo + _CHUNK_ELEMENTS], -1.0, float(n))
         start = np.floor(y).astype(np.int64) + 1  # first count right of y
-        block = start // width
-        slots, rows, _ = cache[0]
-        if slots.take(block).min() < 0:
-            slots, rows, _ = _add_rows(log_mass_vector(prior), epsilon, width, tables, cache, block)
-        d, left, right = rows.take(slots.take(block) + start - block * width, axis=0).T
+        if not built.take(start // width).all():
+            _add_rows(log_mass_vector(prior), epsilon, store, start // width)
+        d, left, right = rows.take(start, axis=0).T
         x = d - 2.0 * epsilon * y  # log-odds of the mass left of y against the right
         # expit(-x), not 1 - expit(x): the right share may be far below 1e-16.
         # Means of counts in [0, n] can only leave the range by rounding.
-        out[pick] = np.clip(expit(x) * left + expit(-x) * right, 0.0, float(n))
+        out[lo : lo + _CHUNK_ELEMENTS] = np.clip(expit(x) * left + expit(-x) * right, 0.0, float(n))
     bad = np.flatnonzero(np.isnan(out))
     if bad.size:
         raise FloatingPointError(f"posterior normalisation degenerated at row {bad[0]}")

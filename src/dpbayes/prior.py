@@ -24,8 +24,7 @@ __all__ = [
     "uncertainty_widths",
 ]
 
-# Counts computed at once here (0.5 MB per temporary array) and kept as rows by the posterior kernel.
-_SLICE_ELEMENTS = 1 << 16
+_SLICE_ELEMENTS = 1 << 16  # counts computed at once: 0.5 MB per temporary array
 
 
 @dataclass(frozen=True)

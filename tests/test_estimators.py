@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import math
-import os
-import subprocess
 import sys
 import threading
 from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
@@ -23,6 +21,7 @@ from dpbayes import (
     naive_estimate,
     posterior,
 )
+from vmhwm import peak_growth_mb
 
 
 def oracle_posterior_mean(n, p, epsilon, y):
@@ -310,9 +309,8 @@ class TestBatch:
 
     @pytest.mark.parametrize("n", [50, 10_000])
     def test_batching_is_invisible(self, n):
-        # At n = 10**4 blocks are 10 counts wide and a slice holds 6553 responses,
-        # so the splits below cut across the first slice boundary, and batches
-        # of more than one slice are taken in order of y.
+        # A slice holds _CHUNK_ELEMENTS responses whatever n is, and the
+        # splits below cut across the first slice boundary.
         prior = BinomialPrior(n=n, p=0.3)
         level = calibrate(0.5)
         rng = np.random.default_rng(5)
@@ -321,7 +319,7 @@ class TestBatch:
             np.arange(-1.0, n + 1.5, 0.5)[:: max(1, n // 100)],
         ])
         full = bayes_estimate_batch(prior, level, ys)
-        boundary = estimators_module._SLICE_ELEMENTS // -(-(n + 1) // estimators_module._BLOCKS)
+        boundary = estimators_module._CHUNK_ELEMENTS
         cuts = [c for c in (0, 1, 17, boundary - 1, boundary + 2) if c < ys.size] + [ys.size]
         pieces = [bayes_estimate_batch(prior, level, ys[a:b]) for a, b in zip(cuts, cuts[1:])]
         assert np.array_equal(np.concatenate(pieces), full)
@@ -332,8 +330,8 @@ class TestBatch:
     @pytest.mark.parametrize(
         "n, rows, draw",
         [(10_000, 100_000, "normal"), (100_000, 100_000, "normal"), (10**6, 1000, "normal"),
-         (10**6, 1000, "uniform")],
-        ids=["10000", "100000", "1000000", "1000000-uniform"],
+         (10**6, 1000, "uniform"), (10**6, 10_000, "uniform")],
+        ids=["10000", "100000", "1000000", "1000000-uniform", "1000000-spread"],
     )
     def test_memory_stays_bounded(self, n, rows, draw):
         # The dense kernel needed rows x (n+1) doubles per chunk: about 1 GB
@@ -341,39 +339,27 @@ class TestBatch:
         # blocks at a time; the cached 8 MB log-masses and their temporaries
         # remain.
         # Responses drawn uniformly over [-1, n + 1] touch most blocks, so
-        # the row cache fills up and is emptied along the way.
-        # Measured in a fresh process as growth of VmHWM, which, unlike
-        # ru_maxrss, does not inherit the peak of the process that started it.
-        if not os.path.exists("/proc/self/status"):
-            pytest.skip("needs /proc/self/status")
+        # most pages of the row store are written: 24 bytes per count.
+        # Measured in a fresh process as growth of VmHWM.
         draws = {"normal": f"normal(0.3 * {n}, 50.0, {rows})",
                  "uniform": f"uniform(-1.0, {n} + 1.0, {rows})"}
-        code = (
-            "import numpy as np\n"
-            "from dpbayes import BinomialPrior, bayes_estimate_batch, calibrate\n"
-            "def peak_kib():\n"
-            "    with open('/proc/self/status') as status:\n"
-            "        return int(next(l for l in status if l.startswith('VmHWM:')).split()[1])\n"
-            f"ys = np.random.default_rng(0).{draws[draw]}\n"
-            "before = peak_kib()\n"
-            f"bayes_estimate_batch(BinomialPrior({n}, 0.3), calibrate(0.1), ys)\n"
-            "print(peak_kib() - before)\n"
+        growth_mb = peak_growth_mb(
+            f"bayes_estimate_batch(BinomialPrior({n}, 0.3), calibrate(0.1), ys)\n",
+            setup="import numpy as np\n"
+                  "from dpbayes import BinomialPrior, bayes_estimate_batch, calibrate\n"
+                  f"ys = np.random.default_rng(0).{draws[draw]}\n",
         )
-        child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                               check=True, timeout=120)
-        growth_mb = int(child.stdout) / 1024
         assert growth_mb < 40
 
     def test_row_cache_is_invisible(self):
-        # At n = 10**6 blocks are 977 counts wide, so the row cache holds
-        # the rows of 67 blocks; these responses touch far more, and the
-        # cache is emptied and refilled while each batch runs.
+        # At n = 10**6 blocks are 977 counts wide; these responses touch
+        # most blocks, whose rows are built while the first batch runs.
         n = 10**6
         prior, level = BinomialPrior(n=n, p=0.3), calibrate(0.5)
         ys = np.random.default_rng(7).uniform(-1.0, n + 1.0, 300)
         width = -(-(n + 1) // estimators_module._BLOCKS)
         touched = np.unique((np.floor(ys) + 1) // width).size
-        assert touched * width > 2 * estimators_module._SLICE_ELEMENTS
+        assert touched * width > 2 * estimators_module._CHUNK_ELEMENTS
         first = bayes_estimate_batch(prior, level, ys)
         again = bayes_estimate_batch(prior, level, ys)
         estimators_module._block_tables.cache_clear()
@@ -381,10 +367,9 @@ class TestBatch:
         assert np.array_equal(again, first)
         assert np.array_equal(fresh, first)
 
-    def test_spread_batch_builds_each_block_about_once(self, monkeypatch):
+    def test_spread_batch_builds_each_block_once(self, monkeypatch):
         # 10**4 responses uniform over [-1, n + 1] touch nearly every block,
-        # far more than the row cache holds.  Taken in order of y, each
-        # block's rows are built once, plus at most one rebuild per slice.
+        # in many slices.  Each touched block's rows are built exactly once.
         n = 10**6
         prior, level = BinomialPrior(n=n, p=0.3), calibrate(0.5)
         ys = np.random.default_rng(11).uniform(-1.0, n + 1.0, 10_000)
@@ -399,17 +384,16 @@ class TestBatch:
 
         monkeypatch.setattr(estimators_module, "_in_block_sums", counting)
         bayes_estimate_batch(prior, level, ys)
-        blocks = -(-(n + 1) // width) + 1
-        slices = -(-ys.size // (estimators_module._SLICE_ELEMENTS // width))
-        assert sum(built) <= blocks + slices
+        touched = np.unique((np.floor(ys) + 1) // width).size
+        assert ys.size > 2 * estimators_module._CHUNK_ELEMENTS
+        assert sum(built) == touched
 
     @pytest.mark.parametrize("size, count", [(400, 6), (8, 300)], ids=["refill", "append"])
     def test_concurrent_callers_read_consistent_rows(self, size, count):
-        # Threads share each (prior, epsilon)'s row cache.  Batches of 400
-        # responses spread over every block empty and refill it; batches of 8
-        # add a few blocks each to the same rows.  A caller reading slots and
-        # rows from different fills, or rows another writer overwrote, would
-        # get wrong rows.
+        # Threads share each (prior, epsilon)'s row store.  Batches of 400
+        # responses spread over every block build most rows at once; batches
+        # of 8 add a few blocks each.  A caller reading rows before they are
+        # written, or rows another writer overwrote, would get wrong means.
         n = 200_000
         prior, level = BinomialPrior(n=n, p=0.3), calibrate(0.5)
         batches = [np.random.default_rng(seed).uniform(-1.0, n + 1.0, size) for seed in range(count)]

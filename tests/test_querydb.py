@@ -6,10 +6,7 @@ import csv
 import io
 import json
 import math
-import os
 import random
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -26,6 +23,7 @@ from dpbayes import (
     public_answer,
 )
 from dpbayes.querydb import RELATIONS
+from vmhwm import peak_growth_mb
 
 TEN_ROWS = (
     "city,age,plan\n"
@@ -323,48 +321,27 @@ class TestColumnCounts:
         # 10**5 rows x 5 fields held as one dict per row grew peak RSS by
         # about 51 MB, and as one int32 code per row and field by about 8 MB;
         # value counts read a block of rows at a time keep it near 4 MB.
-        # Measured in a fresh process as growth of VmHWM, which, unlike
-        # ru_maxrss, does not inherit the peak of the process that started it.
-        if not os.path.exists("/proc/self/status"):
-            pytest.skip("needs /proc/self/status")
+        # Measured in a fresh process as growth of VmHWM.
         path = tmp_path / "wide.csv"
         path.write_text("region,age,sex,job,plan\n" + "".join(
             f"r{i % 6},a{i % 10},s{i % 3},j{i % 12},p{i % 4}\n" for i in range(100_000)))
-        code = (
-            "import sys\n"
-            "from dpbayes import load_records\n"
-            "def peak_kib():\n"
-            "    with open('/proc/self/status') as status:\n"
-            "        return int(next(l for l in status if l.startswith('VmHWM:')).split()[1])\n"
-            "before = peak_kib()\n"
+        growth_mb = peak_growth_mb(
             "with open(sys.argv[1], newline='') as stream:\n"
             "    db = load_records(stream)\n"
-            "assert db.size == 100_000\n"
-            "print(peak_kib() - before)\n"
+            "assert db.size == 100_000\n",
+            str(path),
+            setup="import sys\nfrom dpbayes import load_records\n",
         )
-        child = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True,
-                               text=True, check=True, timeout=120)
-        growth_mb = int(child.stdout) / 1024
         assert growth_mb < 6
 
     def test_dict_records_memory_stays_bounded(self):
         # RecordSet(records=...) held 10**5 five-field dicts from a generator
         # at once to count them, growing VmHWM by about 50 MB; counted as they
         # are read, they are freed one by one.
-        if not os.path.exists("/proc/self/status"):
-            pytest.skip("needs /proc/self/status")
-        code = (
-            "from dpbayes import RecordSet\n"
-            "def peak_kib():\n"
-            "    with open('/proc/self/status') as status:\n"
-            "        return int(next(l for l in status if l.startswith('VmHWM:')).split()[1])\n"
-            "before = peak_kib()\n"
+        growth_mb = peak_growth_mb(
             "db = RecordSet(records=({'region': f'r{i % 6}', 'age': f'a{i % 10}', 'sex': f's{i % 3}',\n"
             "                         'job': f'j{i % 12}', 'plan': f'p{i % 4}'} for i in range(100_000)))\n"
-            "assert db.size == 100_000\n"
-            "print(peak_kib() - before)\n"
+            "assert db.size == 100_000\n",
+            setup="from dpbayes import RecordSet\n",
         )
-        child = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                               text=True, check=True, timeout=120)
-        growth_mb = int(child.stdout) / 1024
         assert growth_mb < 6

@@ -4,9 +4,6 @@ from __future__ import annotations
 
 import io
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -26,6 +23,7 @@ from dpbayes import (
 )
 from dpbayes.prior import _quantiles
 from dpbayes.simulation import CSV_HEADER
+from vmhwm import peak_growth_mb
 
 
 class StubStream:
@@ -216,21 +214,11 @@ class TestRunCell:
         # What grows with n is O(n) per (n, p, epsilon): the prior's masses and
         # the posterior's block sums, about 70 MB here.  Measured in a fresh
         # process as growth of VmHWM.
-        if not os.path.exists("/proc/self/status"):
-            pytest.skip("needs /proc/self/status")
-        code = (
-            "from dpbayes import run_cell\n"
-            "def peak_kib():\n"
-            "    with open('/proc/self/status') as status:\n"
-            "        return int(next(l for l in status if l.startswith('VmHWM:')).split()[1])\n"
-            "before = peak_kib()\n"
+        growth_mb = peak_growth_mb(
             "cell = run_cell(10**6, 0.3, 0.1, runs=1000, seed=0)\n"
-            "assert cell.runs == 1000 and cell.avg_err_bayes > 0.0\n"
-            "print(peak_kib() - before)\n"
+            "assert cell.runs == 1000 and cell.avg_err_bayes > 0.0\n",
+            setup="from dpbayes import run_cell\n",
         )
-        child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                               check=True, timeout=120)
-        growth_mb = int(child.stdout) / 1024
         assert growth_mb < 128
 
     def test_rejects_bad_runs(self):
