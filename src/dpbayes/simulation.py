@@ -21,9 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import _check_epsilon_n, bayes_estimate_batch
-from .mechanism import (
-    _SMALLEST_UNIFORM, PrivacyLevel, _check_integer, _laplace_quantile, calibrate,
-)
+from .mechanism import PrivacyLevel, _check_integer, _laplace_quantiles, calibrate
 from .prior import BinomialPrior, _quantiles
 
 __all__ = [
@@ -135,13 +133,10 @@ class SweepResult:
 def _draw_runs(runs: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """The row rule: ``(count_uniforms[run], unit_noise[run])`` for every run of a sweep."""
     rows = np.random.Generator(np.random.Philox(key=seed)).random((runs, 2))
-    # A noise uniform of 0.0 has no Laplace quantile; the smallest positive one stands in.
-    unit_noise = np.fromiter(
-        (_laplace_quantile(max(u, _SMALLEST_UNIFORM), 1.0) for u in rows[:, 1].tolist()),
-        dtype=np.float64,
-        count=runs,
-    )
-    return rows[:, 0], unit_noise
+    # All rows in one pass, mapping math.log1p (np.log1p can differ in the last
+    # bit), so each run's unit noise equals sample_noise's at its uniform bitwise.
+    # A 0.0, which has no quantile, reads as the smallest positive uniform.
+    return rows[:, 0], _laplace_quantiles(rows[:, 1], 1.0)
 
 
 def _score_cell(

@@ -134,6 +134,26 @@ class TestDrawRuns:
         cell = run_cell(100, 0.3, 0.5, runs=6, seed=3)
         assert math.isfinite(cell.avg_err_bayes) and math.isfinite(cell.se_naive)
 
+    def test_edge_noise_uniforms_match_sample_noise(self, monkeypatch):
+        # The one-pass draw equals sample_noise bitwise at the ends of [0, 1)
+        # and on both sides of the median, where the sign flips through +0.0.
+        edges = [0.0, 2.0**-53, 0.5 - 2.0**-53, 0.5, 0.5 + 2.0**-53, 1.0 - 2.0**-53]
+        base = np.random.Generator
+
+        class Generator(base):
+            def random(self, size=None):
+                out = base.random(self, size)
+                out[:, 1] = edges
+                return out
+
+        monkeypatch.setattr(np.random, "Generator", Generator)
+        _, unit_noise = simulation_module._draw_runs(len(edges), 3)
+        # sample_noise redraws u = 0; the draw reads it as 2**-53 instead.
+        expected = [sample_noise(calibrate(1.0), StubStream(max(u, 2.0**-53))) for u in edges]
+        assert unit_noise.tobytes() == np.array(expected).tobytes()
+        assert unit_noise[3] == 0.0 and math.copysign(1.0, unit_noise[3]) == 1.0
+        assert np.sign(unit_noise).tolist() == [-1.0, -1.0, -1.0, 0.0, 1.0, 1.0]
+
 
 class TestAnalyticNaiveError:
     @pytest.mark.parametrize("epsilon, expected", [(0.1, 10.0), (0.5, 2.0), (1.0, 1.0)])
