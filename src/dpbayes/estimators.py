@@ -187,9 +187,8 @@ def _posterior_means(prior: BinomialPrior, level: PrivacyLevel, ys: np.ndarray) 
     out = np.empty(ys.shape[0], dtype=np.float64)
     for lo in range(0, ys.shape[0], _CHUNK_ELEMENTS):
         # Outside [0, n) one side is empty whatever y is, so clipping changes
-        # no mean and keeps epsilon*y within epsilon*n.  Here and below, not
-        # np.clip: its Python-level wrapper costs more than the pair on a few rows.
-        y = np.minimum(np.maximum(ys[lo : lo + _CHUNK_ELEMENTS], -1.0), float(n))
+        # no mean and keeps epsilon*y within epsilon*n.
+        y = np.clip(ys[lo : lo + _CHUNK_ELEMENTS], -1.0, float(n))
         start = np.floor(y).astype(np.int64) + 1  # first count right of y
         if not built.take(start // width).all():
             _add_rows(log_mass_vector(prior), epsilon, store, start // width)
@@ -197,8 +196,7 @@ def _posterior_means(prior: BinomialPrior, level: PrivacyLevel, ys: np.ndarray) 
         x = d - 2.0 * epsilon * y  # log-odds of the mass left of y against the right
         # expit(-x), not 1 - expit(x): the right share may be far below 1e-16.
         # Means of counts in [0, n] can only leave the range by rounding.
-        mean = expit(x) * left + expit(-x) * right
-        out[lo : lo + _CHUNK_ELEMENTS] = np.minimum(np.maximum(mean, 0.0), float(n))
+        out[lo : lo + _CHUNK_ELEMENTS] = np.clip(expit(x) * left + expit(-x) * right, 0.0, float(n))
     bad = np.flatnonzero(np.isnan(out))
     if bad.size:
         raise FloatingPointError(f"posterior normalisation degenerated at row {bad[0]}")

@@ -112,9 +112,10 @@ def sample_noise(level: PrivacyLevel, rng) -> float:
 def _laplace_quantile(u: float, scale_b: float) -> float:
     """Laplace(0, scale_b) quantile at ``u`` in (0, 1): the package's one u -> noise step.
 
-    Single draws take this scalar form, :func:`_laplace_quantiles` an array.
-    Both take ``math.log1p``: numpy's vectorised ``log1p`` can differ from it
-    in the last bit, which would change seeded releases.
+    Single draws take this scalar form: :func:`_laplace_quantiles` on a
+    one-element array costs over ten times as much, a fifth of a query's
+    time.  Both take ``math.log1p``: numpy's vectorised ``log1p`` can differ
+    from it in the last bit, which would change seeded releases.
     """
     d = u - 0.5
     # (d > 0) - (d < 0) is 0 at d == 0, unlike math.copysign.
@@ -122,14 +123,15 @@ def _laplace_quantile(u: float, scale_b: float) -> float:
     return -scale_b * sign * math.log1p(-2.0 * abs(d))
 
 
-def _laplace_quantiles(uniforms: np.ndarray, scale_b: float) -> np.ndarray:
-    """:func:`_laplace_quantile` at each uniform of a 1-d array in [0, 1), 0.0 read as 2**-53.
+def _laplace_quantiles(uniforms: np.ndarray) -> np.ndarray:
+    """:func:`_laplace_quantile` at scale 1 for each uniform of a 1-d array in [0, 1).
 
-    Bitwise equal: the same operations in the same order, ``math.log1p`` per element.
+    Bitwise equal: the same operations in the same order, ``math.log1p`` per
+    element.  A uniform of 0.0, which has no quantile, reads as 2**-53.
     """
     d = np.maximum(uniforms, _SMALLEST_UNIFORM) - 0.5
     magnitude = np.fromiter(map(math.log1p, (-2.0 * np.abs(d)).tolist()), np.float64, count=d.size)
-    return -scale_b * np.sign(d) * magnitude
+    return -np.sign(d) * magnitude
 
 
 def _check_integer(value, what: str, minimum: int | None = None) -> int:

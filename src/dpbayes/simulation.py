@@ -133,10 +133,7 @@ class SweepResult:
 def _draw_runs(runs: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """The row rule: ``(count_uniforms[run], unit_noise[run])`` for every run of a sweep."""
     rows = np.random.Generator(np.random.Philox(key=seed)).random((runs, 2))
-    # All rows in one pass, mapping math.log1p (np.log1p can differ in the last
-    # bit), so each run's unit noise equals sample_noise's at its uniform bitwise.
-    # A 0.0, which has no quantile, reads as the smallest positive uniform.
-    return rows[:, 0], _laplace_quantiles(rows[:, 1], 1.0)
+    return rows[:, 0], _laplace_quantiles(rows[:, 1])
 
 
 def _score_cell(
