@@ -7,9 +7,7 @@ predicate, missing or malformed data file), 1 on runtime failures.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
-import os
 import sys
 
 import numpy as np
@@ -20,21 +18,6 @@ from .prior import BinomialPrior, uncertainty_widths
 from .querydb import Predicate, load_records, noisy_count_query, public_answer
 from .simulation import SweepConfig, _check_seed, run_sweep, write_csv
 
-SEED_ENV_VAR = "DPBAYES_SEED"
-
-
-def _resolve_seed(flag_value, default=None):
-    # Precedence: explicit flag, then the environment, then the default.
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
-    return default
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -44,19 +27,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sweep = sub.add_parser("sweep", help="run the Monte Carlo estimator-comparison grid")
-    sweep.add_argument("--n", type=int, nargs="+", default=None,
+    # Each dest is a SweepConfig field: the flags given build the config.
+    sweep.add_argument("--n", dest="n_values", type=int, nargs="+", default=None,
                        help=f"database sizes (default: {list(SweepConfig.n_values)})")
-    sweep.add_argument("--p", type=float, nargs="+", default=None,
+    sweep.add_argument("--p", dest="p_values", type=float, nargs="+", default=None,
                        help=f"match probabilities (default: {list(SweepConfig.p_values)})")
-    sweep.add_argument("--eps", type=float, nargs="+", default=None,
+    sweep.add_argument("--eps", dest="epsilon_values", type=float, nargs="+", default=None,
                        help=f"privacy levels (default: {list(SweepConfig.epsilon_values)})")
     sweep.add_argument("--runs", type=int, default=None,
                        help=f"Monte Carlo runs per cell (default: {SweepConfig.runs})")
     sweep.add_argument("--seed", type=int, default=None,
-                       help=f"base seed (default: ${SEED_ENV_VAR} or 0)")
+                       help=f"base seed (default: {SweepConfig.seed})")
     sweep.add_argument("--out", default=None, help="CSV output path (default: stdout)")
-    sweep.add_argument("--config", default=None,
-                       help="JSON file with sweep settings; explicit flags win")
 
     query = sub.add_parser("query", help="answer one noisy counting query over a CSV file")
     query.add_argument("--data", required=True, help="CSV file, header row first")
@@ -65,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "or 'field in-set V1,V2,...'")
     query.add_argument("--eps", type=float, required=True, help="privacy level")
     query.add_argument("--seed", type=int, default=None,
-                       help=f"noise seed (default: ${SEED_ENV_VAR} or OS entropy)")
+                       help="noise seed (default: OS entropy)")
     query.add_argument("--p", type=float, default=None,
                        help="assumed per-record match probability; "
                             "also print the posterior-mean correction")
@@ -86,40 +68,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _is_json(value, kind: type) -> bool:
-    # JSON true/false load as bools, which Python counts as integers.
-    return isinstance(value, (int, kind)) and not isinstance(value, bool)
-
-
-def _load_sweep_file(path: str) -> dict:
-    with open(path) as stream:
-        loaded = json.load(stream)
-    if not isinstance(loaded, dict):
-        raise ValueError(f"sweep config must be a JSON object, got {type(loaded).__name__}")
-    unknown = set(loaded) - {field.name for field in dataclasses.fields(SweepConfig)}
-    if unknown:
-        raise ValueError(f"unknown sweep config keys: {sorted(unknown)}")
-    for key, kind in (("n_values", int), ("p_values", float), ("epsilon_values", float)):
-        if key in loaded and not isinstance(loaded[key], list):
-            raise ValueError(f"sweep config {key} must be a list")
-        if not all(_is_json(value, kind) for value in loaded.get(key, ())):
-            kinds = "integers" if kind is int else "numbers"
-            raise ValueError(f"sweep config {key} must hold {kinds}, got {loaded[key]!r}")
-    for key in ("runs", "seed"):
-        if key in loaded and not _is_json(loaded[key], int):
-            raise ValueError(f"sweep config {key} must be an integer, got {loaded[key]!r}")
-    return loaded
-
-
 def cmd_sweep(args) -> int:
-    settings = _load_sweep_file(args.config) if args.config is not None else {}
-    # Flags given win over the file; SweepConfig supplies what neither sets.
-    flags = {"n_values": args.n, "p_values": args.p, "epsilon_values": args.eps,
-             "runs": args.runs, "seed": args.seed}
-    settings.update((key, value) for key, value in flags.items() if value is not None)
-    # Seed precedence: flag, then config file, then the environment, then 0.
-    settings["seed"] = _resolve_seed(settings.get("seed"), default=0)
-    result = run_sweep(SweepConfig(**settings))
+    fields = ("n_values", "p_values", "epsilon_values", "runs", "seed")
+    # SweepConfig supplies every setting whose flag was not given.
+    given = {key: getattr(args, key) for key in fields if getattr(args, key) is not None}
+    result = run_sweep(SweepConfig(**given))
     if args.out is not None:
         with open(args.out, "w", newline="") as stream:
             write_csv(result, stream)
@@ -145,15 +98,14 @@ def cmd_query(args) -> int:
         _check_epsilon_n(prior.n, level.epsilon)
     elif args.n_known is not None:
         raise ValueError("--n-known requires --p")
-    seed = _resolve_seed(args.seed)
-    if seed is not None:
-        seed = _check_seed(seed)
+    if args.seed is not None:
+        _check_seed(args.seed)
         print(
             "warning: this seeded release is reproducible; "
             "anyone who knows the seed can subtract the noise",
             file=sys.stderr,
         )
-    result = noisy_count_query(db, pred, level, np.random.default_rng(seed))
+    result = noisy_count_query(db, pred, level, np.random.default_rng(args.seed))
     print(public_answer(result))
     if prior is not None:
         corrected = bayes_estimate(prior, level, result.noisy_value)

@@ -31,7 +31,7 @@ import numpy as np
 from scipy.special import expit
 
 from .mechanism import PrivacyLevel
-from .prior import BinomialPrior, log_mass_vector
+from .prior import _CHUNK_ELEMENTS, BinomialPrior, log_mass_vector
 
 __all__ = [
     "naive_estimate",
@@ -42,8 +42,6 @@ __all__ = [
 
 # Blocks per prior; up to n = 1023 every block is one count wide.
 _BLOCKS = 1024
-# Counts per table or row build, and responses per slice, so that temporaries stay small.
-_CHUNK_ELEMENTS = 1 << 12
 
 
 def _check_response(y) -> float:

@@ -24,7 +24,8 @@ __all__ = [
     "uncertainty_widths",
 ]
 
-_SLICE_ELEMENTS = 1 << 16  # counts computed at once: 0.5 MB per temporary array
+# Counts or responses computed at once, here and in estimators, so temporaries stay small.
+_CHUNK_ELEMENTS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -59,8 +60,8 @@ def log_mass_vector(prior: BinomialPrior) -> np.ndarray:
     elif p == 1.0:
         out[n] = 0.0
     else:
-        for lo in range(0, n + 1, _SLICE_ELEMENTS):  # keeps gammaln's temporaries small
-            k = np.arange(lo, min(lo + _SLICE_ELEMENTS, n + 1), dtype=np.float64)
+        for lo in range(0, n + 1, _CHUNK_ELEMENTS):  # keeps gammaln's temporaries small
+            k = np.arange(lo, min(lo + _CHUNK_ELEMENTS, n + 1), dtype=np.float64)
             out[lo : lo + k.size] = (gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
                                      + k * math.log(p) + (n - k) * math.log1p(-p))
     out.flags.writeable = False

@@ -1,4 +1,4 @@
-"""Command-line behaviour: exit codes, output formats, seed resolution."""
+"""Command-line behaviour: exit codes, output formats."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import dpbayes.cli as cli_module
 import dpbayes.querydb as querydb_module
 from dpbayes import sample_noise
 from dpbayes.cli import main
-from dpbayes.simulation import CSV_HEADER, SweepResult
+from dpbayes.simulation import CSV_HEADER, SweepConfig, SweepResult
 
 DATA = (
     "city,age,plan\n"
@@ -32,11 +32,6 @@ def data_file(tmp_path):
     path = tmp_path / "records.csv"
     path.write_text(DATA)
     return str(path)
-
-
-@pytest.fixture(autouse=True)
-def no_ambient_seed(monkeypatch):
-    monkeypatch.delenv(cli_module.SEED_ENV_VAR, raising=False)
 
 
 class MedianStream:
@@ -89,99 +84,50 @@ class TestSweep:
         _, second, _ = run_cli(capsys, *argv)
         assert first == second
 
-    def test_seed_env_fallback(self, capsys, monkeypatch):
+    def test_environment_never_seeds(self, capsys, monkeypatch):
         argv = ("sweep", "--n", "100", "--p", "0.3", "--eps", "1.0", "--runs", "60")
-        monkeypatch.setenv(cli_module.SEED_ENV_VAR, "4")
+        monkeypatch.setenv("DPBAYES_SEED", "4")
         _, from_env, _ = run_cli(capsys, *argv)
-        monkeypatch.delenv(cli_module.SEED_ENV_VAR)
-        _, from_default, _ = run_cli(capsys, *argv, "--seed", "4")
+        monkeypatch.delenv("DPBAYES_SEED")
+        _, from_default, _ = run_cli(capsys, *argv, "--seed", "0")
         assert from_env == from_default
 
-    def test_flag_beats_env(self, capsys, monkeypatch):
-        argv = ("sweep", "--n", "100", "--p", "0.3", "--eps", "1.0", "--runs", "60")
-        monkeypatch.setenv(cli_module.SEED_ENV_VAR, "1")
-        _, with_flag, _ = run_cli(capsys, *argv, "--seed", "4")
-        monkeypatch.delenv(cli_module.SEED_ENV_VAR)
-        _, reference, _ = run_cli(capsys, *argv, "--seed", "4")
-        assert with_flag == reference
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            ((), SweepConfig()),
+            (("--n", "100", "--p", "0.3", "--eps", "0.5", "--runs", "60", "--seed", "4"),
+             SweepConfig((100,), (0.3,), (0.5,), 60, 4)),
+        ],
+        ids=["defaults", "every-flag"],
+    )
+    def test_each_flag_lands_in_its_field(self, capsys, monkeypatch, argv, expected):
+        configs = []
 
-    def test_config_file_supplies_settings(self, capsys, tmp_path):
-        config = tmp_path / "sweep.json"
-        config.write_text(
-            '{"n_values": [100], "p_values": [0.3], "epsilon_values": [1.0],'
-            ' "runs": 60, "seed": 4}'
-        )
-        _, from_file, _ = run_cli(capsys, "sweep", "--config", str(config))
-        _, from_flags, _ = run_cli(
-            capsys, "sweep", "--n", "100", "--p", "0.3", "--eps", "1.0",
-            "--runs", "60", "--seed", "4",
-        )
-        assert from_file == from_flags
+        def spy(config):
+            configs.append(config)
+            return SweepResult(config=config, cells=(), failures=())
 
-    def test_flags_beat_config_file(self, capsys, tmp_path):
-        config = tmp_path / "sweep.json"
-        config.write_text(
-            '{"n_values": [100], "p_values": [0.3], "epsilon_values": [1.0],'
-            ' "runs": 60, "seed": 1}'
-        )
-        _, overridden, _ = run_cli(capsys, "sweep", "--config", str(config), "--seed", "4")
-        _, reference, _ = run_cli(
-            capsys, "sweep", "--n", "100", "--p", "0.3", "--eps", "1.0",
-            "--runs", "60", "--seed", "4",
-        )
-        assert overridden == reference
-
-    def test_bad_config_file_is_usage_error(self, capsys, tmp_path):
-        bad_json = tmp_path / "bad.json"
-        bad_json.write_text("{not json")
-        assert run_cli(capsys, "sweep", "--config", str(bad_json))[0] == 2
-        unknown_key = tmp_path / "unknown.json"
-        unknown_key.write_text('{"bogus": 1}')
-        code, _, err = run_cli(capsys, "sweep", "--config", str(unknown_key))
-        assert code == 2
-        assert "bogus" in err
-        scalar_grid = tmp_path / "scalar.json"
-        scalar_grid.write_text('{"n_values": 100}')
-        assert run_cli(capsys, "sweep", "--config", str(scalar_grid))[0] == 2
-        assert run_cli(capsys, "sweep", "--config", str(tmp_path / "absent.json"))[0] == 2
+        monkeypatch.setattr(cli_module, "run_sweep", spy)
+        assert run_cli(capsys, "sweep", *argv)[0] == 0
+        assert configs == [expected]
 
     @pytest.mark.parametrize(
-        "key, value",
-        [("runs", True), ("runs", 60.0), ("seed", 2.9), ("seed", False),
-         ("n_values", [True]), ("n_values", [100.0])],
+        "flag, value",
+        [("--runs", "60.0"), ("--seed", "2.9"), ("--n", "100.0"), ("--n", "true"),
+         ("--p", "0.3x")],
     )
-    def test_non_integer_config_values_are_usage_errors(self, capsys, tmp_path, key, value):
-        settings = {"n_values": [100], "p_values": [0.3], "epsilon_values": [1.0],
-                    "runs": 60, "seed": 4}
-        config = tmp_path / "sweep.json"
-        config.write_text(json.dumps({**settings, key: value}))
-        code, out, err = run_cli(capsys, "sweep", "--config", str(config))
+    def test_non_numeric_flag_values_are_usage_errors(self, capsys, monkeypatch, flag, value):
+        monkeypatch.setattr(cli_module, "run_sweep", lambda config: pytest.fail("sweep ran"))
+        code, out, _ = run_cli(capsys, "sweep", flag, value)
         assert (code, out) == (2, "")
-        assert key in err
-
-    @pytest.mark.parametrize(
-        "key, value",
-        [("p_values", ["0.3"]), ("epsilon_values", ["1.0"]), ("p_values", [0.3, None]),
-         ("p_values", [True]), ("epsilon_values", [False])],
-    )
-    def test_non_numeric_config_grid_values_are_usage_errors(self, capsys, tmp_path, key, value):
-        # float() would parse "0.3"; JSON true would pass as 1.
-        settings = {"n_values": [100], "p_values": [0.3], "epsilon_values": [1.0],
-                    "runs": 60, "seed": 4}
-        config = tmp_path / "sweep.json"
-        config.write_text(json.dumps({**settings, key: value}))
-        code, out, err = run_cli(capsys, "sweep", "--config", str(config))
-        assert (code, out) == (2, "")
-        assert key in err
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**64 + 4)])
-    def test_seed_outside_64_bits_is_usage_error(self, capsys, monkeypatch, seed):
+    def test_seed_outside_64_bits_is_usage_error(self, capsys, seed):
         argv = ("sweep", "--n", "100", "--p", "0.3", "--eps", "1.0", "--runs", "50")
         code, out, err = run_cli(capsys, *argv, "--seed", seed)
         assert (code, out) == (2, "")
         assert "seed" in err
-        monkeypatch.setenv(cli_module.SEED_ENV_VAR, seed)
-        assert run_cli(capsys, *argv)[0] == 2
 
     def test_bad_grid_value_is_usage_error(self, capsys):
         code, out, _ = run_cli(
@@ -198,14 +144,6 @@ class TestSweep:
         )
         assert (code, out) == (2, "")
         assert "2**33" in err
-
-    def test_bad_env_seed_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli_module.SEED_ENV_VAR, "not-a-number")
-        code, _, err = run_cli(
-            capsys, "sweep", "--n", "100", "--p", "0.3", "--eps", "1.0", "--runs", "50"
-        )
-        assert code == 2
-        assert "DPBAYES_SEED" in err
 
     def test_failing_cell_exits_one(self, capsys, monkeypatch):
         def fake_run_sweep(config):
@@ -255,14 +193,6 @@ class TestQuery:
         _, second, _ = run_cli(capsys, *argv)
         assert first == second
         assert json.loads(first.splitlines()[0])["noisy_value"] != 4.0
-
-    def test_env_seed_fallback(self, capsys, data_file, monkeypatch):
-        argv = ("query", "--data", data_file, "--where", "city equals Rome", "--eps", "0.1")
-        monkeypatch.setenv(cli_module.SEED_ENV_VAR, "7")
-        _, from_env, _ = run_cli(capsys, *argv)
-        monkeypatch.delenv(cli_module.SEED_ENV_VAR)
-        _, from_flag, _ = run_cli(capsys, *argv, "--seed", "7")
-        assert from_env == from_flag
 
     def test_unknown_field_still_answers(self, capsys, data_file, median_noise):
         code, out, _ = run_cli(
@@ -384,18 +314,12 @@ class TestQueryReleasePath:
         assert (code, out, calls) == (2, "", [])
         assert "row 1" in err and "'city'" in err
 
-    @pytest.mark.parametrize("seed", [str(2**64), "-1"])
-    @pytest.mark.parametrize("source", ["flag", "env"])
-    def test_seed_outside_64_bits_releases_nothing(
-        self, capsys, data_file, monkeypatch, source, seed
-    ):
+    @pytest.mark.parametrize("seed", [str(2**64), "-1"], ids=lambda seed: f"flag-{seed}")
+    def test_seed_outside_64_bits_releases_nothing(self, capsys, data_file, monkeypatch, seed):
         calls = []
         monkeypatch.setattr(cli_module, "noisy_count_query", lambda *args: calls.append(args))
-        argv = ["query", "--data", data_file, "--where", "city equals Rome", "--eps", "0.1"]
-        if source == "flag":
-            argv += ["--seed", seed]
-        else:
-            monkeypatch.setenv(cli_module.SEED_ENV_VAR, seed)
+        argv = ["query", "--data", data_file, "--where", "city equals Rome", "--eps", "0.1",
+                "--seed", seed]
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, calls) == (2, "", [])
         assert "seed" in err
@@ -409,14 +333,20 @@ class TestQueryReleasePath:
         assert len(err.splitlines()) == 1
         assert "seed" in err and "subtract" in err
 
-    def test_seed_env_warns(self, capsys, data_file, monkeypatch):
-        monkeypatch.setenv(cli_module.SEED_ENV_VAR, "7")
+    def test_environment_never_seeds_a_release(self, capsys, data_file, monkeypatch):
+        seeds = []
+        real = cli_module.np.random.default_rng
+
+        def spy(seed=None):
+            seeds.append(seed)
+            return real(seed)
+
+        monkeypatch.setattr(cli_module.np.random, "default_rng", spy)
+        monkeypatch.setenv("DPBAYES_SEED", "7")
         code, _, err = run_cli(
             capsys, "query", "--data", data_file, "--where", "city equals Rome", "--eps", "0.1"
         )
-        assert code == 0
-        assert len(err.splitlines()) == 1
-        assert "seed" in err and "subtract" in err
+        assert (code, err, seeds) == (0, "", [None])
 
     def test_unseeded_release_is_silent(self, capsys, data_file):
         code, _, err = run_cli(
@@ -490,8 +420,15 @@ class TestUsage:
     def test_unknown_flag_is_usage_error(self, capsys):
         assert run_cli(capsys, "sweep", "--bogus")[0] == 2
 
-    def test_removed_flags_are_usage_errors(self, capsys, data_file):
+    def test_removed_flags_are_usage_errors(self, capsys, data_file, tmp_path):
         assert run_cli(capsys, "sweep", "--runs", "5", "--shards", "2")[0] == 2
+        config = tmp_path / "sweep.json"
+        config.write_text("{}")
+        code, out, _ = run_cli(
+            capsys, "sweep", "--n", "10", "--p", "0.3", "--eps", "1.0", "--runs", "5",
+            "--config", str(config),
+        )
+        assert (code, out) == (2, "")
         code, out, _ = run_cli(
             capsys, "query", "--data", data_file, "--where", "city equals Rome",
             "--eps", "0.1", "--noise-hook", "median",

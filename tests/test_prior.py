@@ -17,7 +17,7 @@ from dpbayes import (
     log_mass_vector,
     uncertainty_widths,
 )
-from dpbayes.prior import _SLICE_ELEMENTS, _quantiles
+from dpbayes.prior import _CHUNK_ELEMENTS, _quantiles
 
 
 class TestValidation:
@@ -107,7 +107,7 @@ class TestLogMass:
 
     def test_slices_are_invisible(self):
         # The masses are filled a slice at a time; they equal the one-shot formula.
-        n, p = 2 * _SLICE_ELEMENTS + 5, 0.3
+        n, p = 2 * _CHUNK_ELEMENTS + 5, 0.3
         k = np.arange(n + 1, dtype=np.float64)
         whole = (gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
                  + k * math.log(p) + (n - k) * math.log1p(-p))

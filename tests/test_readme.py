@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-import json
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
-import dpbayes.cli as cli_module
 from dpbayes.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -41,11 +39,7 @@ def test_readme_has_commands():
 @pytest.mark.parametrize("argv", readme_commands())
 def test_readme_command_runs(argv, tmp_path, monkeypatch, capsys):
     write_people(tmp_path)
-    (tmp_path / "sweep.json").write_text(json.dumps(
-        {"n_values": [50], "p_values": [0.3], "epsilon_values": [0.5, 1.0], "runs": 200}
-    ))
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv(cli_module.SEED_ENV_VAR, raising=False)
     code = main(argv)
     err = capsys.readouterr().err
     assert code == 0, f"{argv}: {err}"
