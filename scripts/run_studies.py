@@ -31,44 +31,38 @@ def main(argv=None) -> int:
     total = len(config.n_values) * len(config.p_values) * len(config.epsilon_values)
     print(f"running {total} cells at {config.runs} runs each (seed {config.seed})")
     start = time.time()
-    result = run_sweep(config)
+    cells = run_sweep(config)
     print(f"done in {time.time() - start:.1f}s")
 
     with open(args.out, "w", newline="") as stream:
-        write_csv(result, stream)
-    print(f"wrote {len(result.cells)} rows to {args.out}")
-    for failure in result.failures:
-        print(f"cell failed: n={failure.n} p={failure.p} eps={failure.epsilon}: "
-              f"{failure.message}", file=sys.stderr)
+        write_csv(cells, stream)
+    print(f"wrote {len(cells)} rows to {args.out}")
 
-    by_key = {(c.n, c.p, c.epsilon): c for c in result.cells}
+    by_key = {(c.n, c.p, c.epsilon): c for c in cells}
 
     for n in config.n_values:
         print(f"\nmean absolute error vs privacy level (n={n}, p=0.3)")
         print(f"{'eps':>6} {'noise_std':>10} {'naive':>10} {'analytic':>10} {'bayes':>10}")
         for eps in config.epsilon_values:
-            cell = by_key.get((n, 0.3, eps))
-            if cell:
-                print(f"{eps:>6} {cell.noise_std:>10.3f} {cell.avg_err_naive:>10.3f} "
-                      f"{cell.avg_err_naive_analytic:>10.3f} {cell.avg_err_bayes:>10.3f}")
+            cell = by_key[(n, 0.3, eps)]
+            print(f"{eps:>6} {cell.noise_std:>10.3f} {cell.avg_err_naive:>10.3f} "
+                  f"{cell.avg_err_naive_analytic:>10.3f} {cell.avg_err_bayes:>10.3f}")
 
     print("\nmatch-probability sweep (n=100, eps=0.1)")
     print(f"{'p':>6} {'bayes err':>10} {'P(bayes better)':>16}")
     for p in config.p_values:
-        cell = by_key.get((100, p, 0.1))
-        if cell:
-            print(f"{p:>6} {cell.avg_err_bayes:>10.3f} {cell.prob_bayes_better:>16.4f}")
+        cell = by_key[(100, p, 0.1)]
+        print(f"{p:>6} {cell.avg_err_bayes:>10.3f} {cell.prob_bayes_better:>16.4f}")
 
     print("\nshare of runs where the correction is strictly closer (p=0.3)")
     print(f"{'eps':>6}" + "".join(f" {f'n={n}':>10}" for n in config.n_values))
     for eps in config.epsilon_values:
         row = [f"{eps:>6}"]
         for n in config.n_values:
-            cell = by_key.get((n, 0.3, eps))
-            row.append(f"{cell.prob_bayes_better:>10.4f}" if cell else f"{'-':>10}")
+            row.append(f"{by_key[(n, 0.3, eps)].prob_bayes_better:>10.4f}")
         print("".join(row))
 
-    return 1 if result.failures else 0
+    return 0
 
 
 if __name__ == "__main__":

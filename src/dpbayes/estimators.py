@@ -30,7 +30,7 @@ import threading
 import numpy as np
 from scipy.special import expit
 
-from .mechanism import PrivacyLevel
+from .mechanism import PrivacyLevel, _check_real
 from .prior import _CHUNK_ELEMENTS, BinomialPrior, log_mass_vector
 
 __all__ = [
@@ -45,7 +45,7 @@ _BLOCKS = 1024
 
 
 def _check_response(y) -> float:
-    value = float(y)
+    value = _check_real(y, "noisy response")
     if not math.isfinite(value):
         raise ValueError(f"noisy response must be a finite real, got {y!r}")
     return value
@@ -221,14 +221,15 @@ def bayes_estimate_batch(prior: BinomialPrior, level: PrivacyLevel, ys) -> np.nd
     per-row results are identical to the scalar path.
 
     Raises:
-        ValueError: if any response is not finite or ``epsilon * n``
-            exceeds 2**33.
+        ValueError: if ``ys`` is not a 1-d integer or float array, holds a
+            non-finite value, or ``epsilon * n`` exceeds 2**33.
         FloatingPointError: naming the offending row if normalisation
             degenerates.
     """
-    ys = np.asarray(ys, dtype=np.float64)
-    if ys.ndim != 1:
-        raise ValueError(f"expected a 1-d array of responses, got shape {ys.shape}")
+    ys = np.asarray(ys)
+    if ys.ndim != 1 or ys.dtype.kind not in "iuf":
+        raise ValueError(f"expected a 1-d integer or float array, got {ys.dtype} {ys.shape}")
+    ys = ys.astype(np.float64, copy=False)
     if not np.all(np.isfinite(ys)):
         raise ValueError("noisy responses must all be finite reals")
     return _posterior_means(prior, level, ys)

@@ -32,8 +32,6 @@ __all__ = [
     "CSV_HEADER",
     "SweepConfig",
     "CellResult",
-    "CellFailure",
-    "SweepResult",
     "run_cell",
     "run_sweep",
     "write_csv",
@@ -111,25 +109,6 @@ class CellResult:
         return 1.0 - self.prob_bayes_better - self.ties / self.runs
 
 
-@dataclass(frozen=True)
-class CellFailure:
-    """One grid cell that aborted, with the error message (and run index when known)."""
-
-    n: int
-    p: float
-    epsilon: float
-    message: str
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    """All surviving cells of a sweep, in grid order, plus any failures."""
-
-    config: SweepConfig
-    cells: tuple
-    failures: tuple = ()
-
-
 def _draw_runs(runs: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """The row rule: ``(count_uniforms[run], unit_noise[run])`` for every run of a sweep."""
     rows = np.random.Generator(np.random.Philox(key=seed)).random((runs, 2))
@@ -173,25 +152,18 @@ def run_cell(n: int, p: float, epsilon: float, runs: int, seed: int) -> CellResu
 
     Raises:
         ValueError: on invalid population, privacy, run or seed parameters.
-        FloatingPointError: naming the offending run if the posterior
-            degenerates; the cell aborts rather than report partial sums.
+        FloatingPointError: naming the offending run if the posterior degenerates.
     """
-    result = run_sweep(SweepConfig((n,), (p,), (epsilon,), runs, seed))
-    if result.failures:
-        raise FloatingPointError(result.failures[0].message)
-    return result.cells[0]
+    return run_sweep(SweepConfig((n,), (p,), (epsilon,), runs, seed))[0]
 
 
-def run_sweep(config: SweepConfig) -> SweepResult:
+def run_sweep(config: SweepConfig) -> tuple[CellResult, ...]:
     """Evaluate every (n, p, epsilon) cell of the configured grid.
 
-    The runs are drawn once and scored by every cell.  A cell whose
-    posterior degenerates is collected as a failure and the sweep
-    continues; the surviving cells keep grid order (n outer, then p, then
-    epsilon).
+    The runs are drawn once and scored by every cell.  Cells come in grid
+    order (n outer, then p, then epsilon); an error in any cell ends the sweep.
     """
     cells = []
-    failures = []
     levels = [calibrate(epsilon) for epsilon in config.epsilon_values]
     count_uniforms, unit_noise = _draw_runs(config.runs, config.seed)
     for n in config.n_values:
@@ -199,15 +171,11 @@ def run_sweep(config: SweepConfig) -> SweepResult:
             prior = BinomialPrior(n=n, p=p)
             counts = _quantiles(prior, count_uniforms)
             for level in levels:
-                try:
-                    cells.append(_score_cell(prior, level, counts, unit_noise, config.seed))
-                except FloatingPointError as exc:
-                    message = f"{exc} (row = run index)"
-                    failures.append(CellFailure(n=n, p=p, epsilon=level.epsilon, message=message))
-    return SweepResult(config=config, cells=tuple(cells), failures=tuple(failures))
+                cells.append(_score_cell(prior, level, counts, unit_noise, config.seed))
+    return tuple(cells)
 
 
-def write_csv(result: SweepResult, stream) -> None:
+def write_csv(cells, stream) -> None:
     """Emit one row per cell: the :data:`CSV_HEADER` attributes of the cell, in order.
 
     Floats are written with shortest round-trip precision and the line
@@ -215,5 +183,5 @@ def write_csv(result: SweepResult, stream) -> None:
     """
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for cell in result.cells:
+    for cell in cells:
         writer.writerow([getattr(cell, name) for name in CSV_HEADER])

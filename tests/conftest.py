@@ -19,12 +19,6 @@ GRID_EPSILONS = (0.05, 0.1, 0.2, 0.5, 1.0)
 SWEEP_P_VALUES = (0.02, 0.1, 0.3, 0.5, 0.7, 0.9, 0.98)
 
 
-def _sweep_cells(config: SweepConfig) -> tuple:
-    result = run_sweep(config)
-    assert not result.failures, result.failures
-    return result.cells
-
-
 @pytest.fixture(scope="session")
 def acceptance_seed() -> int:
     return ACCEPTANCE_SEED
@@ -34,11 +28,11 @@ def acceptance_seed() -> int:
 def reference_grid_cells():
     """p = 0.3 cells over n x epsilon at 10^5 runs; shared by the heavy tests."""
     config = SweepConfig(GRID_N_VALUES, (0.3,), GRID_EPSILONS, HEAVY_RUNS, ACCEPTANCE_SEED)
-    return {(cell.n, cell.epsilon): cell for cell in _sweep_cells(config)}
+    return {(cell.n, cell.epsilon): cell for cell in run_sweep(config)}
 
 
 @pytest.fixture(scope="session")
 def p_sweep_cells():
     """n = 100, epsilon = 0.1 cells across match probabilities at 10^5 runs."""
     config = SweepConfig((100,), SWEEP_P_VALUES, (0.1,), HEAVY_RUNS, ACCEPTANCE_SEED)
-    return {cell.p: cell for cell in _sweep_cells(config)}
+    return {cell.p: cell for cell in run_sweep(config)}

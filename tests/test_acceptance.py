@@ -182,7 +182,7 @@ def test_criterion_8_property_suite():
                 failures.append(f"ratio bound failed at eps={eps}, counts ({a1}, {a2})")
 
     grid = dict(n_values=(100,), p_values=(0.3, 0.7), epsilon_values=(0.1, 1.0))
-    swept = run_sweep(SweepConfig(**grid, runs=2_000, seed=ACCEPTANCE_SEED)).cells
+    swept = run_sweep(SweepConfig(**grid, runs=2_000, seed=ACCEPTANCE_SEED))
     alone = tuple(
         run_cell(n, p, eps, runs=2_000, seed=ACCEPTANCE_SEED)
         for n in grid["n_values"] for p in grid["p_values"] for eps in grid["epsilon_values"]

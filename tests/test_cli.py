@@ -10,7 +10,7 @@ import dpbayes.cli as cli_module
 import dpbayes.querydb as querydb_module
 from dpbayes import sample_noise
 from dpbayes.cli import main
-from dpbayes.simulation import CSV_HEADER, SweepConfig, SweepResult
+from dpbayes.simulation import CSV_HEADER, SweepConfig
 
 DATA = (
     "city,age,plan\n"
@@ -106,7 +106,7 @@ class TestSweep:
 
         def spy(config):
             configs.append(config)
-            return SweepResult(config=config, cells=(), failures=())
+            return ()
 
         monkeypatch.setattr(cli_module, "run_sweep", spy)
         assert run_cli(capsys, "sweep", *argv)[0] == 0
@@ -145,34 +145,25 @@ class TestSweep:
         assert (code, out) == (2, "")
         assert "2**33" in err
 
-    def test_failing_cell_exits_one(self, capsys, monkeypatch):
-        def fake_run_sweep(config):
-            from dpbayes.simulation import CellFailure
-
-            return SweepResult(
-                config=config,
-                cells=(),
-                failures=(CellFailure(n=100, p=0.3, epsilon=1.0, message="boom at row 3"),),
-            )
-
-        monkeypatch.setattr(cli_module, "run_sweep", fake_run_sweep)
-        code, out, err = run_cli(
-            capsys, "sweep", "--n", "100", "--p", "0.3", "--eps", "1.0", "--runs", "50"
-        )
-        assert code == 1
-        assert "cell failed" in err
-        assert "boom at row 3" in err
-
-    def test_unexpected_error_exits_one(self, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "error", [RuntimeError("disk on fire"),
+                  FloatingPointError("posterior normalisation degenerated at row 3")],
+        ids=["unexpected", "failing-cell"],
+    )
+    def test_unexpected_error_exits_one(self, capsys, monkeypatch, tmp_path, error):
         def explode(config):
-            raise RuntimeError("disk on fire")
+            raise error
 
         monkeypatch.setattr(cli_module, "run_sweep", explode)
-        code, _, err = run_cli(
-            capsys, "sweep", "--n", "100", "--p", "0.3", "--eps", "1.0", "--runs", "50"
+        out_file = tmp_path / "sweep.csv"
+        code, out, err = run_cli(
+            capsys, "sweep", "--n", "100", "--p", "0.3", "--eps", "1.0", "--runs", "50",
+            "--out", str(out_file),
         )
         assert code == 1
-        assert "disk on fire" in err
+        assert err == f"error: {error}\n"
+        assert out == ""
+        assert not out_file.exists()
 
 
 class TestQuery:

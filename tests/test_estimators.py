@@ -94,7 +94,8 @@ class TestNaive:
     def test_identity(self, y):
         assert naive_estimate(y) == y
 
-    @pytest.mark.parametrize("y", [math.inf, -math.inf, math.nan])
+    # Strings and bools are refused as p and epsilon are, not read as numbers.
+    @pytest.mark.parametrize("y", [math.inf, -math.inf, math.nan, "7", True, np.True_, None])
     def test_rejects_non_finite(self, y):
         with pytest.raises(ValueError):
             naive_estimate(y)
@@ -450,6 +451,12 @@ class TestBatch:
             bayes_estimate_batch(prior, level, np.array([[1.0, 2.0]]))
         with pytest.raises(ValueError):
             bayes_estimate_batch(prior, level, np.array([1.0, math.nan]))
+        for ys in (["1", "2"], [True], np.array([1 + 2j]), np.array([1.0], dtype=object)):
+            with pytest.raises(ValueError):
+                bayes_estimate_batch(prior, level, ys)
+        for y in ("3", True):
+            with pytest.raises(ValueError):
+                bayes_estimate(prior, level, y)
 
     def test_degenerate_weights_raise_in_batch(self, monkeypatch):
         monkeypatch.setattr(
@@ -469,3 +476,17 @@ class TestBatch:
                     )
         finally:
             estimators_module._block_tables.cache_clear()
+
+    @pytest.mark.parametrize("p", [0.0, 5e-324, 1e-300, 1e-17, 0.3, 1.0 - 2.0**-53, 1.0])
+    @pytest.mark.parametrize("n", [1, 1000, 100_000])
+    @pytest.mark.parametrize("scale", ["smallest", "one", "largest"])
+    def test_valid_input_never_degenerates(self, n, p, scale):
+        # A Binomial prior puts total mass 1 on [0, n], so no valid (n, p,
+        # epsilon, y) reaches the degenerate-normalisation error: every mean is
+        # finite and in range, with no floating-point warning.
+        epsilon = {"smallest": 2.1e-307, "one": 1.0, "largest": 2.0**33 / n}[scale]
+        below = np.nextafter([0.0, 1.0, n // 2, float(n)], -np.inf)
+        ys = np.concatenate([[-1e308, -1.0, -0.5, float(n), n + 0.5, 1e308], below])
+        means = bayes_estimate_batch(BinomialPrior(n=n, p=p), calibrate(epsilon), ys)
+        assert np.all(np.isfinite(means))
+        assert np.all((means >= 0.0) & (means <= n))

@@ -271,38 +271,37 @@ class TestRunSweep:
             runs=200,
             seed=5,
         )
-        result = run_sweep(config)
-        assert len(result.cells) == 6
-        assert [(c.p, c.epsilon) for c in result.cells] == [
+        cells = run_sweep(config)
+        assert type(cells) is tuple
+        assert len(cells) == 6
+        assert [(c.p, c.epsilon) for c in cells] == [
             (0.1, 0.5), (0.1, 1.0), (0.1, 2.0), (0.5, 0.5), (0.5, 1.0), (0.5, 2.0),
         ]
-        assert result.failures == ()
 
-    def test_failures_do_not_stop_the_sweep(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "error", [FloatingPointError("posterior normalisation degenerated at row 3"),
+                  TypeError("a bug in the kernel")],
+        ids=["posterior", "bug"],
+    )
+    def test_cell_errors_end_the_sweep(self, monkeypatch, error):
+        # No cell is collected as failed: the first error propagates and
+        # the cells after it are never scored.
         real_batch = simulation_module.bayes_estimate_batch
+        scored = []
 
         def flaky(prior, level, ys):
             if level.epsilon == 1.0:
-                raise FloatingPointError("boom at row 3")
+                raise error
+            scored.append(level.epsilon)
             return real_batch(prior, level, ys)
 
         monkeypatch.setattr(simulation_module, "bayes_estimate_batch", flaky)
         config = SweepConfig(
             n_values=(100,), p_values=(0.3,), epsilon_values=(0.5, 1.0, 2.0), runs=100, seed=1
         )
-        result = run_sweep(config)
-        assert len(result.cells) == 2
-        assert len(result.failures) == 1
-        assert result.failures[0].epsilon == 1.0
-        assert "row 3" in result.failures[0].message
-
-    def test_only_posterior_failures_are_collected(self, monkeypatch):
-        def buggy(prior, level, ys):
-            raise TypeError("a bug, not a cell failure")
-
-        monkeypatch.setattr(simulation_module, "bayes_estimate_batch", buggy)
-        with pytest.raises(TypeError):
-            run_sweep(SweepConfig(n_values=(10,), p_values=(0.3,), epsilon_values=(1.0,), runs=5))
+        with pytest.raises(type(error), match=str(error)):
+            run_sweep(config)
+        assert scored == [0.5]
 
     def test_draws_each_run_once_per_sweep(self, monkeypatch):
         keys = []
@@ -316,7 +315,7 @@ class TestRunSweep:
         config = SweepConfig(
             n_values=(10, 20), p_values=(0.1, 0.5, 0.9), epsilon_values=(0.5, 1.0), runs=7, seed=3
         )
-        assert len(run_sweep(config).cells) == 12
+        assert len(run_sweep(config)) == 12
         assert keys == [3]
 
     def test_cells_match_independent_run_cell_calls(self):
@@ -328,7 +327,7 @@ class TestRunSweep:
             run_cell(n, p, eps, runs=300, seed=2**64 - 1)
             for n in (1, 30) for p in (0.0, 0.4, 1.0) for eps in (0.05, 0.7, 3.0)
         )
-        assert run_sweep(config).cells == expected
+        assert run_sweep(config) == expected
 
     @pytest.mark.parametrize("epsilon", [0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 1e-3, 7.3])
     def test_rescaled_unit_noise_is_a_draw_at_epsilon(self, epsilon):
@@ -429,7 +428,7 @@ class TestWriteCsv:
         buffer = io.StringIO()
         write_csv(result, buffer)
         row = buffer.getvalue().splitlines()[1].split(",")
-        cell = result.cells[0]
+        cell = result[0]
         assert int(row[0]) == cell.n
         assert float(row[4]) == cell.avg_err_naive
         assert float(row[7]) == cell.prob_bayes_better
