@@ -28,7 +28,6 @@ import mmap
 import threading
 
 import numpy as np
-from scipy.special import expit
 
 from .mechanism import PrivacyLevel, _check_real
 from .prior import _CHUNK_ELEMENTS, BinomialPrior, log_mass_vector
@@ -100,6 +99,33 @@ def _check_epsilon_n(n: int, epsilon: float) -> None:
         raise ValueError(f"epsilon * n must be at most 2**33, got {epsilon!r} * {n!r}")
 
 
+def _block_terms(mass, block, width: int, epsilon: float) -> tuple:
+    """Counts ``k`` of whole blocks, shape ``(block, w)``, and their log terms ``(side, block, w)``.
+
+    Side 0 holds ``m_k e^{epsilon k}``, side 1 ``m_k e^{-epsilon k}``; counts
+    past ``n`` give ``-inf``.
+    """
+    idx = block[:, None] * width + np.arange(width)
+    k = idx.astype(np.float64)
+    mass_k = np.where(idx < mass.size, mass.take(idx, mode="clip"), -np.inf)
+    return k, np.stack([mass_k + epsilon * k, mass_k - epsilon * k])
+
+
+def _block_totals(mass, block, width: int, epsilon: float) -> np.ndarray:
+    """Log sums ``(side, weighting, block)`` over whole blocks, plain and ``k``-weighted.
+
+    A max-shifted ``exp``/``sum`` per block; at ``w = 1`` it equals the last
+    column of :func:`_in_block_sums` bitwise.
+    """
+    k, terms = _block_terms(mass, block, width, epsilon)
+    top = terms.max(axis=-1, keepdims=True)
+    top[~np.isfinite(top)] = 0.0
+    weights = np.exp(terms - top)
+    sums = np.stack([weights.sum(axis=-1), (weights * k).sum(axis=-1)], axis=1)
+    with np.errstate(divide="ignore"):
+        return np.log(sums) + top[:, None, :, 0]
+
+
 def _in_block_sums(mass, block, width: int, epsilon: float) -> np.ndarray:
     """Log cumulative sums ``(side, weighting, block, i)`` within blocks, ``i = 0..w``.
 
@@ -108,12 +134,10 @@ def _in_block_sums(mass, block, width: int, epsilon: float) -> np.ndarray:
     and ``k``-weighted; counts past ``n`` add nothing.  Each block is shifted
     by its largest term meanwhile.
     """
-    idx = block[:, None] * width + np.arange(width)
-    k = idx.astype(np.float64)
-    mass_k = np.where(idx < mass.size, mass.take(idx, mode="clip"), -np.inf)
+    k, terms = _block_terms(mass, block, width, epsilon)
     sums = np.full((2, 2, block.size, width + 1), -np.inf)
     plain = sums[:, 0, :, 1:]
-    plain[0], plain[1] = mass_k + epsilon * k, (mass_k - epsilon * k)[:, ::-1]
+    plain[0], plain[1] = terms[0], terms[1][:, ::-1]
     top = plain.max(axis=-1, keepdims=True)
     top[~np.isfinite(top)] = 0.0
     plain -= top
@@ -140,8 +164,8 @@ def _block_tables(prior: BinomialPrior, epsilon: float) -> tuple:
     width = -(-mass.size // _BLOCKS)
     blocks = -(-mass.size // width)
     chunk = max(1, _CHUNK_ELEMENTS // width)  # whole blocks
-    left, right = np.concatenate([  # copies, so that no chunk's sums stay alive
-        _in_block_sums(mass, np.arange(lo, min(lo + chunk, blocks)), width, epsilon)[..., -1].copy()
+    left, right = np.concatenate([
+        _block_totals(mass, np.arange(lo, min(lo + chunk, blocks)), width, epsilon)
         for lo in range(0, blocks, chunk)
     ], axis=-1)
     empty = np.full((2, 1), -np.inf)
@@ -192,9 +216,11 @@ def _posterior_means(prior: BinomialPrior, level: PrivacyLevel, ys: np.ndarray) 
             _add_rows(log_mass_vector(prior), epsilon, store, start // width)
         d, left, right = rows.take(start, axis=0).T
         x = d - 2.0 * epsilon * y  # log-odds of the mass left of y against the right
-        # expit(-x), not 1 - expit(x): the right share may be far below 1e-16.
+        # The right share 1/(1 + e^x) keeps its relative accuracy however small
+        # it is; past x = 709, where e^x would overflow, it is below 2**-1022.
+        share = 1.0 / (1.0 + np.exp(np.minimum(x, 709.0)))
         # Means of counts in [0, n] can only leave the range by rounding.
-        out[lo : lo + _CHUNK_ELEMENTS] = np.clip(expit(x) * left + expit(-x) * right, 0.0, float(n))
+        out[lo : lo + _CHUNK_ELEMENTS] = np.clip(left + share * (right - left), 0.0, float(n))
     bad = np.flatnonzero(np.isnan(out))
     if bad.size:
         raise FloatingPointError(f"posterior normalisation degenerated at row {bad[0]}")

@@ -153,10 +153,20 @@ def _check_integer(value, what: str, minimum: int | None = None) -> int:
 
 
 def _check_real(value, what: str) -> float:
-    """The package's one real-number check at its edges; refuses NaN, bools and strings."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or math.isnan(value):
+    """The package's one real-number check at its edges.
+
+    Refuses NaN, bools, strings and reals beyond the float range, such as
+    the int ``10**400``.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{what} must be a real number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ValueError(f"{what} must be a real number within the float range") from None
+    if math.isnan(number):
+        raise ValueError(f"{what} must be a real number, got {value!r}")
+    return number
 
 
 def out_of_range_probability(a: int, n: int, level: PrivacyLevel) -> float:

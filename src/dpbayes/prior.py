@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from .mechanism import PrivacyLevel, _check_integer, _check_real
 
@@ -26,6 +25,15 @@ __all__ = [
 
 # Counts or responses computed at once, here and in estimators, so temporaries stay small.
 _CHUNK_ELEMENTS = 1 << 12
+
+# Stirling remainders ln k! - (k + 1/2) ln k + k - ln(2 pi)/2 at k = 1..15, rounded
+# from 50-digit values; the series in _stirlerr takes over above 15.
+_STIRLERR_TABLE = np.array([
+    0.08106146679532726, 0.0413406959554093, 0.02767792568499834, 0.020790672103765093,
+    0.016644691189821193, 0.013876128823070748, 0.01189670994589177, 0.010411265261972096,
+    0.009255462182712733, 0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
+])
 
 
 @dataclass(frozen=True)
@@ -60,12 +68,62 @@ def log_mass_vector(prior: BinomialPrior) -> np.ndarray:
     elif p == 1.0:
         out[n] = 0.0
     else:
-        for lo in range(0, n + 1, _CHUNK_ELEMENTS):  # keeps gammaln's temporaries small
-            k = np.arange(lo, min(lo + _CHUNK_ELEMENTS, n + 1), dtype=np.float64)
-            out[lo : lo + k.size] = (gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
-                                     + k * math.log(p) + (n - k) * math.log1p(-p))
+        out[0], out[n] = n * math.log1p(-p), n * math.log(p)
+        for lo in range(1, n, _CHUNK_ELEMENTS):
+            k = np.arange(lo, min(lo + _CHUNK_ELEMENTS, n), dtype=np.float64)
+            out[lo : lo + k.size] = _interior_log_masses(n, p, k)
     out.flags.writeable = False
     return out
+
+
+def _interior_log_masses(n: int, p: float, k: np.ndarray) -> np.ndarray:
+    """Log Binomial(n, p) masses at counts ``0 < k < n``, for ``0 < p < 1``.
+
+    Loader's saddle-point form ("Fast and Accurate Computation of Binomial
+    Probabilities", 2000; R's ``dbinom``): Stirling remainders plus two
+    deviance terms, so nothing of the size of ``ln n!`` is formed and
+    cancelled.  Elementwise, so any cut of ``k`` gives the same bits.
+    """
+    rest = n - k
+    return (_stirlerr(np.float64(n)) - _stirlerr(k) - _stirlerr(rest)
+            - _bd0(k, n * p) - _bd0(rest, n * (1.0 - p))
+            + 0.5 * np.log(n / (2.0 * math.pi * k * rest)))
+
+
+def _stirlerr(k):
+    """Stirling remainder ``ln k! - (k + 1/2) ln k + k - ln(2 pi)/2`` at counts ``k >= 1``."""
+    inv = 1.0 / (k * k)
+    series = (1 / 12 - inv * (1 / 360 - inv * (1 / 1260 - inv * (1 / 1680 - inv / 1188)))) / k
+    small = k <= 15
+    if not small.any():  # most slices: the same values without the table lookup
+        return series
+    return np.where(small, _STIRLERR_TABLE.take(np.minimum(k, 15).astype(np.intp) - 1), series)
+
+
+def _bd0(x, mean: float):
+    """Deviance ``x ln(x/mean) + mean - x`` of counts ``x >= 1`` from a ``mean > 0``.
+
+    Near the mean, where the direct form cancels, it is the series
+    ``(x - mean) v + 2 x sum_{j>=1} v^(2j+1)/(2j+1)`` in ``v = (x - mean)/(x + mean)``;
+    ``|v| < 0.1`` there, so nine terms reach double precision.
+    """
+    d = x - mean
+    v = d / (x + mean)
+    near = np.abs(v) < 0.1
+    # Consecutive counts mostly lie wholly on one side, so each form is
+    # computed only where some count needs it.
+    some_near = near.any()
+    if some_near:
+        w = v * v
+        odd = w * (1 / 3 + w * (1 / 5 + w * (1 / 7 + w * (1 / 9 + w * (1 / 11 + w * (
+            1 / 13 + w * (1 / 15 + w * (1 / 17 + w / 19))))))))
+        series = d * v + 2.0 * x * v * odd
+        if near.all():
+            return series
+    # x / mean overflows only for a mean far below any count, where log x - log mean loses nothing.
+    log_ratio = np.log(x / mean) if mean > 1e-290 else np.log(x) - math.log(mean)
+    direct = x * log_ratio + mean - x
+    return np.where(near, series, direct) if some_near else direct
 
 
 def _quantiles(prior: BinomialPrior, uniforms: np.ndarray) -> np.ndarray:

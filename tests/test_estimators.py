@@ -18,6 +18,7 @@ from dpbayes import (
     bayes_estimate,
     bayes_estimate_batch,
     calibrate,
+    log_mass_vector,
     naive_estimate,
     posterior,
 )
@@ -254,10 +255,17 @@ class TestExactOracle:
         assert not misses
 
     def test_two_point_tail_keeps_relative_accuracy(self):
-        # The mean is about 1e-9 here; 1 - expit(x) would lose most of its digits.
+        # The mean is about 1e-9 here; one minus the left share would lose most of its digits.
         value = bayes_estimate(BinomialPrior(n=1, p=1e-9), calibrate(1.0), 0.0)
         want = exact_posterior_mean(1, 1e-9, 1.0, 0.0)
         assert value == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_overwhelming_left_odds_stay_finite(self):
+        # At p = 5e-324 the log-odds of the left side reach about 744, past
+        # the 709 where e^x overflows; the right share, and so the mean, is
+        # below 2**-1022 however it is rounded.
+        value = bayes_estimate(BinomialPrior(n=1, p=5e-324), calibrate(1.0), 0.5)
+        assert 0.0 <= value < 2.0**-1022
 
     @pytest.mark.parametrize("n, p, epsilon", [(30, 0.3, 0.1), (300, 0.02, 1.0), (300, 0.7, 5.0)])
     def test_agrees_with_full_posterior(self, n, p, epsilon):
@@ -297,6 +305,22 @@ class TestEpsilonNBound:
 
 
 class TestBatch:
+    @pytest.mark.parametrize("p", [0.0, 1e-9, 0.3, 1.0])
+    @pytest.mark.parametrize("n", [1, 100, 1023, 1024, 5000])
+    def test_block_totals_are_the_in_block_sums(self, n, p):
+        # The block tables sum whole blocks by exp/sum, not by the rows' accumulate:
+        # the same bits while blocks are one count wide (n <= 1023), rounding apart above.
+        mass = log_mass_vector(BinomialPrior(n=n, p=p))
+        width = -(-mass.size // estimators_module._BLOCKS)
+        block = np.arange(-(-mass.size // width))
+        for epsilon in (0.05, 5.0):
+            totals = estimators_module._block_totals(mass, block, width, epsilon)
+            sums = estimators_module._in_block_sums(mass, block, width, epsilon)[..., -1]
+            if width == 1:
+                assert np.array_equal(totals, sums)
+            else:
+                np.testing.assert_allclose(totals, sums, rtol=1e-14, atol=1e-14)
+
     @pytest.mark.parametrize("n", [100, 1024, 20_000, 10**6])
     def test_matches_scalar_bitwise(self, n):
         # Responses across the whole range, and a run through the blocks

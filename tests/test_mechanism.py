@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,10 +11,12 @@ from hypothesis import given, strategies as st
 from scipy import integrate
 
 from dpbayes import (
+    BinomialPrior,
     PrivacyLevel,
     calibrate,
     dp_ratio_check,
     laplace_density,
+    naive_estimate,
     out_of_range_bounds,
     out_of_range_probability,
     sample_noise,
@@ -84,6 +87,15 @@ class TestCalibrate:
     @given(st.floats(min_value=1e-6, max_value=1e6, allow_nan=False))
     def test_scale_exactly_reciprocal(self, epsilon):
         assert calibrate(epsilon).scale_b == 1.0 / epsilon
+
+
+class TestRealCheck:
+    @pytest.mark.parametrize("value", [10**400, -(10**400), Fraction(10**400, 3)])
+    def test_reals_beyond_the_float_range_are_value_errors(self, value):
+        # float() of such a real raises OverflowError, which used to escape unconverted.
+        for call in (naive_estimate, calibrate, lambda v: BinomialPrior(10, v)):
+            with pytest.raises(ValueError, match="within the float range"):
+                call(value)
 
 
 class TestLaplaceDensity:

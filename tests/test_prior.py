@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import math
+from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy import stats
-from scipy.special import gammaln
 
 from dpbayes import (
     BinomialPrior,
@@ -17,7 +17,34 @@ from dpbayes import (
     log_mass_vector,
     uncertainty_widths,
 )
-from dpbayes.prior import _CHUNK_ELEMENTS, _quantiles
+from dpbayes.prior import _CHUNK_ELEMENTS, _interior_log_masses, _quantiles
+
+
+def reference_log_masses(n, p, counts):
+    """ln of Binomial(n, p) masses at sorted ``counts`` in 50-digit decimal arithmetic.
+
+    Masses are stepped by their exact ratios, up from (1 - p)**n for counts
+    up to n/2 and down from p**n above, with p the float's exact binary value.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        ctx.Emax, ctx.Emin = MAX_EMAX, MIN_EMIN  # p**n must not underflow to zero
+        prob = Decimal(p)
+        odds = prob / (1 - prob)
+        logs = {}
+        k, mass = 0, (1 - prob) ** n
+        for target in (c for c in counts if 2 * c <= n):
+            while k < target:
+                mass = mass * (n - k) * odds / (k + 1)
+                k += 1
+            logs[target] = float(mass.ln())
+        k, mass = n, prob**n
+        for target in (c for c in reversed(counts) if 2 * c > n):
+            while k > target:
+                mass = mass * k / ((n - k + 1) * odds)
+                k -= 1
+            logs[target] = float(mass.ln())
+        return [logs[k] for k in counts]
 
 
 class TestValidation:
@@ -106,12 +133,32 @@ class TestLogMass:
             vector[0] = 0.0
 
     def test_slices_are_invisible(self):
-        # The masses are filled a slice at a time; they equal the one-shot formula.
-        n, p = 2 * _CHUNK_ELEMENTS + 5, 0.3
-        k = np.arange(n + 1, dtype=np.float64)
-        whole = (gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
-                 + k * math.log(p) + (n - k) * math.log1p(-p))
+        # The masses are filled a slice at a time; they equal the formula
+        # evaluated once.  At this n one slice lies wholly in the series range
+        # of the deviance term, others wholly outside it or across its edge.
+        n, p = 10 * _CHUNK_ELEMENTS + 5, 0.5
+        interior = _interior_log_masses(n, p, np.arange(1, n, dtype=np.float64))
+        whole = np.concatenate([[n * math.log1p(-p)], interior, [n * math.log(p)]])
         assert np.array_equal(log_mass_vector(BinomialPrior(n=n, p=p)), whole)
+
+    # At p = 5e-324, n*p is so small that x/(n*p) would overflow.
+    @pytest.mark.parametrize("n, p", [(20, 5e-324), (30, 0.3), (1000, 0.3), (10_000, 1e-9),
+                                      (10_000, 0.98), (100_000, 0.02), (10**6, 0.3)])
+    def test_matches_decimal_reference(self, n, p):
+        # Loader's form adds a few terms, each rounded at a few units of
+        # u = 2**-53 relative to its size; they add up to about |ln m_k| (the
+        # deviances are nonnegative, the rest O(ln n)).  n*p and n*(1 - p)
+        # carry a relative error of about u, which moves each deviance by up
+        # to u*|k - n*p|.  So the error is held to 16u (|ln m_k| + |k - n*p| + 1);
+        # the largest measured was 5.5u times that sum.  The gammaln form misses
+        # this by 10^3 at n = 1000 and 10^6 at n = 10^6: it cancels ln n!.
+        mode = int(n * p)
+        ks = sorted({0, 1, 2, 3, 15, 16, 17, n - 1, n} | set(range(0, n + 1, max(1, n // 200)))
+                    | set(range(max(0, mode - 50), min(n, mode + 50) + 1)))
+        want = np.array(reference_log_masses(n, p, ks))
+        got = log_mass_vector(BinomialPrior(n=n, p=p))[ks]
+        bound = 16 * 2.0**-53 * (np.abs(want) + np.abs(np.array(ks) - n * p) + 1.0)
+        assert np.all(np.abs(got - want) <= bound)
 
     def test_cache_keys_on_the_prior(self):
         # The prior normalises numpy scalars, so equal priors share one array.

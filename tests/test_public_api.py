@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import importlib
+import os
+import subprocess
+import sys
 
 import dpbayes
 
@@ -48,3 +51,13 @@ def test_star_import_binds_exactly_all():
     exec("from dpbayes import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == sorted(dpbayes.__all__)
+
+
+def test_runtime_imports_leave_scipy_out():
+    # numpy is the one runtime dependency; scipy serves the tests only.
+    code = ("import sys, dpbayes, dpbayes.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dpbayes.__file__)))
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                           timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert child.stdout.strip() == "[]"
