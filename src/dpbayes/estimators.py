@@ -99,33 +99,6 @@ def _check_epsilon_n(n: int, epsilon: float) -> None:
         raise ValueError(f"epsilon * n must be at most 2**33, got {epsilon!r} * {n!r}")
 
 
-def _block_terms(mass, block, width: int, epsilon: float) -> tuple:
-    """Counts ``k`` of whole blocks, shape ``(block, w)``, and their log terms ``(side, block, w)``.
-
-    Side 0 holds ``m_k e^{epsilon k}``, side 1 ``m_k e^{-epsilon k}``; counts
-    past ``n`` give ``-inf``.
-    """
-    idx = block[:, None] * width + np.arange(width)
-    k = idx.astype(np.float64)
-    mass_k = np.where(idx < mass.size, mass.take(idx, mode="clip"), -np.inf)
-    return k, np.stack([mass_k + epsilon * k, mass_k - epsilon * k])
-
-
-def _block_totals(mass, block, width: int, epsilon: float) -> np.ndarray:
-    """Log sums ``(side, weighting, block)`` over whole blocks, plain and ``k``-weighted.
-
-    A max-shifted ``exp``/``sum`` per block; at ``w = 1`` it equals the last
-    column of :func:`_in_block_sums` bitwise.
-    """
-    k, terms = _block_terms(mass, block, width, epsilon)
-    top = terms.max(axis=-1, keepdims=True)
-    top[~np.isfinite(top)] = 0.0
-    weights = np.exp(terms - top)
-    sums = np.stack([weights.sum(axis=-1), (weights * k).sum(axis=-1)], axis=1)
-    with np.errstate(divide="ignore"):
-        return np.log(sums) + top[:, None, :, 0]
-
-
 def _in_block_sums(mass, block, width: int, epsilon: float) -> np.ndarray:
     """Log cumulative sums ``(side, weighting, block, i)`` within blocks, ``i = 0..w``.
 
@@ -134,10 +107,12 @@ def _in_block_sums(mass, block, width: int, epsilon: float) -> np.ndarray:
     and ``k``-weighted; counts past ``n`` add nothing.  Each block is shifted
     by its largest term meanwhile.
     """
-    k, terms = _block_terms(mass, block, width, epsilon)
+    idx = block[:, None] * width + np.arange(width)
+    k = idx.astype(np.float64)
+    mass_k = np.where(idx < mass.size, mass.take(idx, mode="clip"), -np.inf)
     sums = np.full((2, 2, block.size, width + 1), -np.inf)
     plain = sums[:, 0, :, 1:]
-    plain[0], plain[1] = terms[0], terms[1][:, ::-1]
+    plain[0], plain[1] = mass_k + epsilon * k, (mass_k - epsilon * k)[:, ::-1]
     top = plain.max(axis=-1, keepdims=True)
     top[~np.isfinite(top)] = 0.0
     plain -= top
@@ -164,8 +139,8 @@ def _block_tables(prior: BinomialPrior, epsilon: float) -> tuple:
     width = -(-mass.size // _BLOCKS)
     blocks = -(-mass.size // width)
     chunk = max(1, _CHUNK_ELEMENTS // width)  # whole blocks
-    left, right = np.concatenate([
-        _block_totals(mass, np.arange(lo, min(lo + chunk, blocks)), width, epsilon)
+    left, right = np.concatenate([  # copies, so that no chunk's sums stay alive
+        _in_block_sums(mass, np.arange(lo, min(lo + chunk, blocks)), width, epsilon)[..., -1].copy()
         for lo in range(0, blocks, chunk)
     ], axis=-1)
     empty = np.full((2, 1), -np.inf)

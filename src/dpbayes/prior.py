@@ -94,10 +94,7 @@ def _stirlerr(k):
     """Stirling remainder ``ln k! - (k + 1/2) ln k + k - ln(2 pi)/2`` at counts ``k >= 1``."""
     inv = 1.0 / (k * k)
     series = (1 / 12 - inv * (1 / 360 - inv * (1 / 1260 - inv * (1 / 1680 - inv / 1188)))) / k
-    small = k <= 15
-    if not small.any():  # most slices: the same values without the table lookup
-        return series
-    return np.where(small, _STIRLERR_TABLE.take(np.minimum(k, 15).astype(np.intp) - 1), series)
+    return np.where(k <= 15, _STIRLERR_TABLE.take(np.minimum(k, 15).astype(np.intp) - 1), series)
 
 
 def _bd0(x, mean: float):
@@ -109,21 +106,14 @@ def _bd0(x, mean: float):
     """
     d = x - mean
     v = d / (x + mean)
-    near = np.abs(v) < 0.1
-    # Consecutive counts mostly lie wholly on one side, so each form is
-    # computed only where some count needs it.
-    some_near = near.any()
-    if some_near:
-        w = v * v
-        odd = w * (1 / 3 + w * (1 / 5 + w * (1 / 7 + w * (1 / 9 + w * (1 / 11 + w * (
-            1 / 13 + w * (1 / 15 + w * (1 / 17 + w / 19))))))))
-        series = d * v + 2.0 * x * v * odd
-        if near.all():
-            return series
+    w = v * v
+    odd = w * (1 / 3 + w * (1 / 5 + w * (1 / 7 + w * (1 / 9 + w * (1 / 11 + w * (
+        1 / 13 + w * (1 / 15 + w * (1 / 17 + w / 19))))))))
+    series = d * v + 2.0 * x * v * odd
     # x / mean overflows only for a mean far below any count, where log x - log mean loses nothing.
     log_ratio = np.log(x / mean) if mean > 1e-290 else np.log(x) - math.log(mean)
     direct = x * log_ratio + mean - x
-    return np.where(near, series, direct) if some_near else direct
+    return np.where(np.abs(v) < 0.1, series, direct)
 
 
 def _quantiles(prior: BinomialPrior, uniforms: np.ndarray) -> np.ndarray:

@@ -305,22 +305,6 @@ class TestEpsilonNBound:
 
 
 class TestBatch:
-    @pytest.mark.parametrize("p", [0.0, 1e-9, 0.3, 1.0])
-    @pytest.mark.parametrize("n", [1, 100, 1023, 1024, 5000])
-    def test_block_totals_are_the_in_block_sums(self, n, p):
-        # The block tables sum whole blocks by exp/sum, not by the rows' accumulate:
-        # the same bits while blocks are one count wide (n <= 1023), rounding apart above.
-        mass = log_mass_vector(BinomialPrior(n=n, p=p))
-        width = -(-mass.size // estimators_module._BLOCKS)
-        block = np.arange(-(-mass.size // width))
-        for epsilon in (0.05, 5.0):
-            totals = estimators_module._block_totals(mass, block, width, epsilon)
-            sums = estimators_module._in_block_sums(mass, block, width, epsilon)[..., -1]
-            if width == 1:
-                assert np.array_equal(totals, sums)
-            else:
-                np.testing.assert_allclose(totals, sums, rtol=1e-14, atol=1e-14)
-
     @pytest.mark.parametrize("n", [100, 1024, 20_000, 10**6])
     def test_matches_scalar_bitwise(self, n):
         # Responses across the whole range, and a run through the blocks
