@@ -397,12 +397,40 @@ class TestBatch:
         assert ys.size > 2 * estimators_module._CHUNK_ELEMENTS
         assert sum(built) == touched
 
-    @pytest.mark.parametrize("size, count", [(400, 6), (8, 300)], ids=["refill", "append"])
+    def test_scalar_builds_its_own_block_once(self, monkeypatch):
+        # A cold scalar builds the one block its response lands in; a repeat
+        # call, or another response in that block, builds nothing.
+        n = 10**6
+        prior, level = BinomialPrior(n=n, p=0.3), calibrate(0.5)
+        estimators_module._block_tables.cache_clear()
+        width = estimators_module._block_tables(prior, level.epsilon)[0]
+        built = []
+        in_block_sums = estimators_module._in_block_sums
+
+        def counting(mass, block, *args):
+            built.append(block.tolist())
+            return in_block_sums(mass, block, *args)
+
+        monkeypatch.setattr(estimators_module, "_in_block_sums", counting)
+        for y in (-5.0, 123_456.7, float(n) + 3.0):
+            block = (math.floor(min(max(y, -1.0), n)) + 1) // width
+            first = bayes_estimate(prior, level, y)
+            assert built == [[block]]
+            assert bayes_estimate(prior, level, y) == first
+            bayes_estimate(prior, level, block * width - 0.5)  # the block's first count
+            assert built == [[block]]
+            built.clear()
+
+    @pytest.mark.parametrize(
+        "size, count", [(400, 6), (8, 300), (1, 1000)], ids=["refill", "append", "scalar"]
+    )
     def test_concurrent_callers_read_consistent_rows(self, size, count):
         # Threads share each (prior, epsilon)'s row store.  Batches of 400
         # responses spread over every block build most rows at once; batches
-        # of 8 add a few blocks each.  A caller reading rows before they are
-        # written, or rows another writer overwrote, would get wrong means.
+        # of 8 add a few blocks each; single responses go through
+        # bayes_estimate, one block at a time.  A caller reading rows before
+        # they are written, or rows another writer overwrote, would get wrong
+        # means.
         n = 200_000
         prior, level = BinomialPrior(n=n, p=0.3), calibrate(0.5)
         batches = [np.random.default_rng(seed).uniform(-1.0, n + 1.0, size) for seed in range(count)]
@@ -414,8 +442,11 @@ class TestBatch:
         def work(worker):
             for i in range(len(batches)):
                 ys = batches[(i + worker) % len(batches)]
-                results[worker, i] = np.array_equal(
-                    bayes_estimate_batch(prior, level, ys), want[(i + worker) % len(batches)])
+                if size > 1:
+                    got = bayes_estimate_batch(prior, level, ys)
+                else:
+                    got = [bayes_estimate(prior, level, ys[0])]
+                results[worker, i] = np.array_equal(got, want[(i + worker) % len(batches)])
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -444,6 +475,8 @@ class TestBatch:
                 ys = np.concatenate([ys, oracle_responses(100)])
                 blocked = [bayes_estimate_batch(prior, level, ys) for level in levels]
                 assert estimators_module._block_tables(prior, 2.0)[0] == 13
+                for level, got in zip(levels, blocked):
+                    assert np.array_equal([bayes_estimate(prior, level, y) for y in ys], got)
             estimators_module._block_tables.cache_clear()
             for level, got in zip(levels, blocked):
                 assert estimators_module._block_tables(prior, level.epsilon)[0] == 1
@@ -474,7 +507,8 @@ class TestBatch:
         )
         # The block tables are cached per (prior, epsilon): build them from
         # the patched masses, and drop them afterwards.  n = 4 has one-count
-        # blocks, n = 2000 blocks two counts wide.
+        # blocks, n = 2000 blocks two counts wide.  The scalar reads rows the
+        # batch built, and at n - 0.5 builds its own.
         estimators_module._block_tables.cache_clear()
         try:
             for n in (4, 2000):
@@ -482,6 +516,9 @@ class TestBatch:
                     bayes_estimate_batch(
                         BinomialPrior(n=n, p=0.5), calibrate(1.0), np.array([0.0, 1.0, 2.0, 3.0])
                     )
+                for y in (1.0, n - 0.5):
+                    with pytest.raises(FloatingPointError, match="row 0"):
+                        bayes_estimate(BinomialPrior(n=n, p=0.5), calibrate(1.0), y)
         finally:
             estimators_module._block_tables.cache_clear()
 
@@ -491,10 +528,13 @@ class TestBatch:
     def test_valid_input_never_degenerates(self, n, p, scale):
         # A Binomial prior puts total mass 1 on [0, n], so no valid (n, p,
         # epsilon, y) reaches the degenerate-normalisation error: every mean is
-        # finite and in range, with no floating-point warning.
+        # finite and in range, with no floating-point warning, and the scalar
+        # path, on numpy scalars, gives the batch's bits.
         epsilon = {"smallest": 2.1e-307, "one": 1.0, "largest": 2.0**33 / n}[scale]
         below = np.nextafter([0.0, 1.0, n // 2, float(n)], -np.inf)
         ys = np.concatenate([[-1e308, -1.0, -0.5, float(n), n + 0.5, 1e308], below])
-        means = bayes_estimate_batch(BinomialPrior(n=n, p=p), calibrate(epsilon), ys)
+        prior, level = BinomialPrior(n=n, p=p), calibrate(epsilon)
+        means = bayes_estimate_batch(prior, level, ys)
         assert np.all(np.isfinite(means))
         assert np.all((means >= 0.0) & (means <= n))
+        assert np.array_equal([bayes_estimate(prior, level, y) for y in ys], means)
