@@ -85,7 +85,8 @@ def cmd_query(args) -> int:
     # Every usage error surfaces before the release, so none spends budget.
     level = calibrate(args.eps)
     pred = Predicate.parse(args.where)
-    with open(args.data, newline="") as stream:
+    # utf-8-sig skips the byte-order mark that spreadsheets put before the first header.
+    with open(args.data, newline="", encoding="utf-8-sig") as stream:
         db = load_records(stream)
     prior = None
     if args.p is not None:

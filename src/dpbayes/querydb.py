@@ -69,16 +69,6 @@ class Predicate:
         values = tuple(value.split(",")) if relation == "in-set" else (value,)
         return cls(field=field, relation=relation, values=values)
 
-    def matches(self, record: dict) -> bool:
-        value = record.get(self.field)
-        if value is None:
-            return False
-        if self.relation == "equals":
-            return value == self.values[0]
-        if self.relation == "not-equals":
-            return value != self.values[0]
-        return value in self.values
-
 
 class RecordSet:
     """Immutable per-field value counts of records (field name -> string value).
@@ -163,9 +153,9 @@ class QueryResult:
 def count_query(db: RecordSet, pred: Predicate) -> int:
     """Number of records matching the predicate; unknown fields match nothing.
 
-    Read from the per-field value counts in O(values in the predicate).  The
-    definition it must equal is ``sum(pred.matches(r) for r in records)``
-    over the records ``db`` was built from.
+    Read from the per-field value counts in O(values in the predicate).  It
+    equals the number of records ``db`` was built from whose value for the
+    field satisfies the relation.
     """
     present, counts = db._counts.get(pred.field, (0, {}))
     if pred.relation == "not-equals":

@@ -84,11 +84,16 @@ def _check_seed(seed) -> int:
 
 @dataclass(frozen=True)
 class CellResult:
-    """Aggregated error metrics for one (n, p, epsilon) grid cell."""
+    """Aggregated error metrics for one (n, p, epsilon) grid cell.
+
+    ``prob_bayes_better`` counts strict wins only; the ``ties`` runs count
+    for neither side.
+    """
 
     n: int
     p: float
     epsilon: float
+    noise_std: float
     avg_err_naive: float
     avg_err_naive_analytic: float
     avg_err_bayes: float
@@ -98,15 +103,6 @@ class CellResult:
     ties: int
     runs: int
     seed: int
-
-    @property
-    def noise_std(self) -> float:
-        return calibrate(self.epsilon).noise_std
-
-    @property
-    def prob_naive_better(self) -> float:
-        """Complement share; ties count as better for neither side."""
-        return 1.0 - self.prob_bayes_better - self.ties / self.runs
 
 
 def _draw_runs(runs: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -130,6 +126,7 @@ def _score_cell(
         n=prior.n,
         p=prior.p,
         epsilon=level.epsilon,
+        noise_std=level.noise_std,
         avg_err_naive=float(err_naive.mean()),
         avg_err_naive_analytic=level.scale_b,
         avg_err_bayes=float(err_bayes.mean()),

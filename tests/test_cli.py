@@ -177,6 +177,17 @@ class TestQuery:
         assert payload["noisy_value"] == 4.0
         assert payload["epsilon"] == 0.1
 
+    def test_byte_order_mark_is_skipped(self, capsys, tmp_path, median_noise):
+        # Spreadsheets save "CSV UTF-8" with a byte-order mark; read as part
+        # of the first header, it would make every count on that field 0.
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + DATA.encode())
+        code, out, _ = run_cli(
+            capsys, "query", "--data", str(path), "--where", "city equals Rome", "--eps", "0.1"
+        )
+        assert code == 0
+        assert json.loads(out.splitlines()[0])["noisy_value"] == 4.0
+
     def test_deterministic_given_seed(self, capsys, data_file):
         argv = ("query", "--data", data_file, "--where", "city equals Rome",
                 "--eps", "0.1", "--seed", "7")
@@ -304,6 +315,17 @@ class TestQueryReleasePath:
         )
         assert (code, out, calls) == (2, "", [])
         assert "row 1" in err and "'city'" in err
+
+    def test_data_not_in_utf8_releases_nothing(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("city\nRome\nS\u00e3o Paulo\n".encode("latin-1"))
+        calls = []
+        monkeypatch.setattr(cli_module, "noisy_count_query", lambda *args: calls.append(args))
+        code, out, err = run_cli(
+            capsys, "query", "--data", str(path), "--where", "city equals Rome", "--eps", "0.1"
+        )
+        assert (code, out, calls) == (2, "", [])
+        assert "utf-8" in err
 
     @pytest.mark.parametrize("seed", [str(2**64), "-1"], ids=lambda seed: f"flag-{seed}")
     def test_seed_outside_64_bits_releases_nothing(self, capsys, data_file, monkeypatch, seed):

@@ -90,6 +90,17 @@ def oracle_responses(n):
     })
 
 
+def dense_posterior_mean(prior, epsilon, y):
+    """Posterior mean by ``math.fsum`` over every weight within e^-60 of the
+    largest; it shares no summation with the kernel."""
+    k = np.arange(prior.n + 1, dtype=np.float64)
+    log_w = log_mass_vector(prior) - epsilon * np.abs(y - k)
+    top = log_w.max()
+    keep = log_w >= top - 60.0
+    w = np.exp(log_w[keep] - top)
+    return math.fsum(k[keep] * w) / math.fsum(w)
+
+
 class TestNaive:
     @pytest.mark.parametrize("y", [42.7, -3.1, 0.0, 300.0])
     def test_identity(self, y):
@@ -252,6 +263,20 @@ class TestExactOracle:
                 want = exact_posterior_mean(n, p, epsilon, y)
                 if not math.isclose(value, want, rel_tol=1e-9, abs_tol=0.0):
                     misses.append((epsilon, y, value, want))
+        assert not misses
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the kernel errs by about "
+                       "epsilon*n*2**-53, up to 3.2e-9 here")
+    @pytest.mark.parametrize("p", [0.3, 0.02])
+    def test_large_epsilon_n_matches_dense_reference(self, p):
+        prior, epsilon = BinomialPrior(n=10**6, p=p), 50.0
+        ys = np.linspace(-1.0, prior.n + 1.0, 50)
+        got = bayes_estimate_batch(prior, calibrate(epsilon), ys)
+        misses = []
+        for y, value in zip(ys, got):
+            want = dense_posterior_mean(prior, epsilon, y)
+            if not math.isclose(value, want, rel_tol=1e-9, abs_tol=0.0):
+                misses.append((y, value, want))
         assert not misses
 
     def test_two_point_tail_keeps_relative_accuracy(self):
