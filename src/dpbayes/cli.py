@@ -50,10 +50,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="noise seed (default: OS entropy)")
     query.add_argument("--p", type=float, default=None,
                        help="assumed per-record match probability; "
-                            "also print the posterior-mean correction")
+                            "also print the posterior-mean correction (needs --n-known)")
     query.add_argument("--n-known", type=int, default=None,
-                       help="database size assumed by the correction, with --p "
-                            "(default: the loaded row count)")
+                       help="database size assumed by the correction; required with --p")
 
     analyze = sub.add_parser("analyze", help="closed-form out-of-range and width reports")
     analyze.add_argument("--n", type=int, required=True, help="database size")
@@ -85,23 +84,27 @@ def cmd_query(args) -> int:
     # Every usage error surfaces before the release, so none spends budget.
     level = calibrate(args.eps)
     pred = Predicate.parse(args.where)
-    # utf-8-sig skips the byte-order mark that spreadsheets put before the first header.
-    with open(args.data, newline="", encoding="utf-8-sig") as stream:
-        db = load_records(stream)
+    # The model is the analyst's: a size read from the table can be the true count.
+    if (args.p is None) != (args.n_known is None):
+        raise ValueError("--p and --n-known go together: give both or neither")
     prior = None
     if args.p is not None:
-        prior = BinomialPrior(n=db.size if args.n_known is None else args.n_known, p=args.p)
+        prior = BinomialPrior(n=args.n_known, p=args.p)
         _check_epsilon_n(prior.n, level.epsilon)
-    elif args.n_known is not None:
-        raise ValueError("--n-known requires --p")
-    if args.seed is not None:
-        _check_seed(args.seed)
+    seed = None if args.seed is None else _check_seed(args.seed)
+    # Lines are split in latin-1, one character per byte, and each is decoded
+    # alone (a text stream decodes 8 KB ahead), so a decode error names its
+    # row; utf-8-sig skips a spreadsheet's byte-order mark.
+    with open(args.data, newline="", encoding="latin-1") as stream:
+        db = load_records(line.encode("latin-1").decode("utf-8" if row else "utf-8-sig")
+                          for row, line in enumerate(stream))
+    if seed is not None:
         print(
             "warning: this seeded release is reproducible; "
             "anyone who knows the seed can subtract the noise",
             file=sys.stderr,
         )
-    result = noisy_count_query(db, pred, level, np.random.default_rng(args.seed))
+    result = noisy_count_query(db, pred, level, np.random.default_rng(seed))
     print(public_answer(result))
     if prior is not None:
         corrected = bayes_estimate(prior, level, result.noisy_value)
@@ -111,12 +114,10 @@ def cmd_query(args) -> int:
 
 def cmd_analyze(args) -> int:
     level = calibrate(args.eps)
-    printed = False
     if args.p is not None:
         binomial_width, laplace_width = uncertainty_widths(BinomialPrior(args.n, args.p), level)
         print(f"binomial 1-sigma interval width: {binomial_width:.4f}")
         print(f"laplace 1-sigma interval width:  {laplace_width:.4f}")
-        printed = True
     if args.bounds:
         bounds = out_of_range_bounds(args.n, level)
         print(
@@ -127,12 +128,10 @@ def cmd_analyze(args) -> int:
             f"min out-of-range probability: {bounds.min_prob:.7g} "
             f"at a in {sorted(bounds.argmin)}"
         )
-        printed = True
     if args.a is not None:
         probability = out_of_range_probability(args.a, args.n, level)
         print(f"P(out of range | a={args.a}, n={args.n}, eps={level.epsilon}) = {probability:.7g}")
-        printed = True
-    if not printed:
+    if args.p is None and not args.bounds and args.a is None:
         # No selector given: print a small table over quartile counts.
         print("a,out_of_range_probability")
         for a in sorted({0, args.n // 4, args.n // 2, (3 * args.n) // 4, args.n}):

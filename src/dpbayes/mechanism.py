@@ -217,10 +217,7 @@ def out_of_range_bounds(n: int, level: PrivacyLevel) -> OutOfRangeBounds:
     """
     size = _check_integer(n, "db size", minimum=1)
     max_prob = 0.5 * (1.0 + math.exp(-level.epsilon * size))
-    if size % 2 == 0:
-        argmin = frozenset({size // 2})
-    else:
-        argmin = frozenset({(size - 1) // 2, (size + 1) // 2})
+    argmin = frozenset({size // 2, (size + 1) // 2})
     min_prob = out_of_range_probability(min(argmin), size, level)
     return OutOfRangeBounds(max_prob, frozenset({0, size}), min_prob, argmin)
 

@@ -118,25 +118,28 @@ def load_records(source) -> RecordSet:
 
     Raises:
         ValueError: naming the offending row, on a missing or empty header,
-            a field named twice in the header, or a row whose field count
-            differs from the header's.
+            a field named twice in the header, a row whose field count
+            differs from the header's, or a ``UnicodeDecodeError`` from the
+            source (exact if it decodes line by line: a text stream reads ahead).
     """
     if isinstance(source, str):
         source = io.StringIO(source)
+    db = RecordSet(())
     reader = csv.reader(source)
     try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError("row 1: missing header") from None
-    if all(name == "" for name in header):
-        raise ValueError("row 1: empty header")
-    for position, name in enumerate(header):
-        if name in header[:position]:
-            raise ValueError(f"row 1: field {name!r} named twice")
-    rows = _checked_rows(reader, len(header))
-    blocks = iter(lambda: list(islice(rows, _BLOCK_ROWS)), [])
-    db = RecordSet(())
-    db._counts = _tally(pair for block in blocks for pair in zip(header, zip(*block)))
+        header = next(reader, None)
+        if header is None:
+            raise ValueError("row 1: missing header")
+        if all(name == "" for name in header):
+            raise ValueError("row 1: empty header")
+        for position, name in enumerate(header):
+            if name in header[:position]:
+                raise ValueError(f"row 1: field {name!r} named twice")
+        rows = _checked_rows(reader, len(header))
+        blocks = iter(lambda: list(islice(rows, _BLOCK_ROWS)), [])
+        db._counts = _tally(pair for block in blocks for pair in zip(header, zip(*block)))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"row {reader.line_num + 1}: {exc}") from None
     db._size = db._counts.get(header[0], (0,))[0]  # every row holds every field
     return db
 

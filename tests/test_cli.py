@@ -207,7 +207,7 @@ class TestQuery:
         # Seed chosen so the noisy value is negative; the correction is not.
         code, out, _ = run_cli(
             capsys, "query", "--data", data_file, "--where", "city equals Rome",
-            "--eps", "0.1", "--seed", "2", "--p", "0.4",
+            "--eps", "0.1", "--seed", "2", "--p", "0.4", "--n-known", "10",
         )
         assert code == 0
         first, second = out.splitlines()[:2]
@@ -235,6 +235,25 @@ class TestQuery:
         )
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "content, where, count",
+        [
+            (DATA, "city equals Rome", 4),
+            (DATA.replace("\n", "\r\n"), "city equals Rome", 4),
+            (DATA.replace("\n", "\r"), "city equals Rome", 4),
+            # The UTF-8 bytes of \u00c5 end in 0x85, a line break (NEL) in latin-1.
+            ("city\n\u00c5land\nS\u00e3o\n\u00c5land\n", "city equals \u00c5land", 2),
+            ("city\na\u2028b\nRome\n", "city equals a\u2028b", 1),
+        ],
+        ids=["lf", "crlf", "cr", "nel-byte", "line-separator"],
+    )
+    def test_rows_are_read_as_written(self, capsys, tmp_path, median_noise, content, where, count):
+        path = tmp_path / "rows.csv"
+        path.write_bytes(content.encode())
+        code, out, _ = run_cli(capsys, "query", "--data", str(path), "--where", where, "--eps", "0.1")
+        assert code == 0
+        assert json.loads(out.splitlines()[0])["noisy_value"] == count
 
     def test_bad_predicate_is_usage_error(self, capsys, data_file):
         code, _, err = run_cli(
@@ -291,7 +310,7 @@ class TestQueryReleasePath:
         [
             ("--eps", "5e-324"),
             ("--eps", "1e-308"),
-            ("--eps", "1e9", "--p", "0.3"),  # epsilon * n = 1e10 > 2**33
+            ("--eps", "1e9", "--p", "0.3", "--n-known", "10"),  # epsilon * n = 1e10 > 2**33
             ("--eps", "1e8", "--p", "0.3", "--n-known", "1000"),
         ],
     )
@@ -326,6 +345,49 @@ class TestQueryReleasePath:
         )
         assert (code, out, calls) == (2, "", [])
         assert "utf-8" in err
+
+    def test_decode_error_names_its_row(self, capsys, tmp_path, monkeypatch):
+        # The bad byte sits 25 006 bytes in, past the text layer's 8 KB read-ahead.
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"city\n" + b"Rome\n" * 5000 + "S\u00e3o Paulo\n".encode("latin-1"))
+        calls = []
+        monkeypatch.setattr(cli_module, "noisy_count_query", lambda *args: calls.append(args))
+        code, out, err = run_cli(
+            capsys, "query", "--data", str(path), "--where", "city equals Rome", "--eps", "0.1"
+        )
+        assert (code, out, calls) == (2, "", [])
+        assert err.startswith("error: row 5002: 'utf-8' codec")
+
+    def test_p_without_n_known_releases_nothing(self, capsys, tmp_path, monkeypatch):
+        # Every row matches, so a size read from the table would be the true count.
+        path = tmp_path / "members.csv"
+        path.write_text("member\n" + "yes\n" * 1337 + "no\n" * 666)
+        calls = []
+        monkeypatch.setattr(cli_module, "noisy_count_query", lambda *args: calls.append(args))
+        code, out, err = run_cli(
+            capsys, "query", "--data", str(path), "--where", "member not-equals zzz",
+            "--eps", "0.1", "--p", "0.5",
+        )
+        assert (code, out, calls) == (2, "", [])
+        assert "--n-known" in err and "2003" not in err
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ("--eps", "0.1", "--seed", "-1"),
+            ("--eps", "0.1", "--p", "0.3"),
+            ("--eps", "0.1", "--n-known", "10"),
+            ("--eps", "1e9", "--p", "0.3", "--n-known", "10"),
+        ],
+        ids=["seed", "lone-p", "lone-n-known", "epsilon-n"],
+    )
+    def test_flags_are_checked_before_the_data_is_read(self, capsys, tmp_path, extra):
+        code, out, err = run_cli(
+            capsys, "query", "--data", str(tmp_path / "absent.csv"),
+            "--where", "city equals Rome", *extra,
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "absent.csv" not in err
 
     @pytest.mark.parametrize("seed", [str(2**64), "-1"], ids=lambda seed: f"flag-{seed}")
     def test_seed_outside_64_bits_releases_nothing(self, capsys, data_file, monkeypatch, seed):
@@ -367,17 +429,26 @@ class TestQueryReleasePath:
         )
         assert (code, err) == (0, "")
 
-    @pytest.mark.parametrize("extra", [(), ("--p", "0.6")])
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ("--where", "member equals yes"),
+            ("--where", "member equals yes", "--p", "0.6", "--n-known", "2000"),
+            # Every row matches: the table's row count is this release's true count.
+            ("--where", "member not-equals zzz", "--p", "0.6", "--n-known", "2500"),
+        ],
+    )
     def test_output_never_carries_the_true_count(self, capsys, tmp_path, extra):
         path = tmp_path / "members.csv"
         path.write_text("member\n" + "yes\n" * 1337 + "no\n" * 666)
         code, out, err = run_cli(
-            capsys, "query", "--data", str(path), "--where", "member equals yes",
-            "--eps", "0.1", "--seed", "11", *extra,
+            capsys, "query", "--data", str(path), "--eps", "0.1", "--seed", "11", *extra,
         )
         assert code == 0
-        assert len(out.splitlines()) == 1 + bool(extra)
-        assert "1337" not in out and "1337" not in err
+        assert len(out.splitlines()) == 1 + ("--p" in extra)
+        # 1337 rows say yes; 2003 is the row count.
+        for true_count in ("1337", "2003"):
+            assert true_count not in out and true_count not in err
 
 
 class TestAnalyze:

@@ -112,6 +112,14 @@ class TestLoadRecords:
         with pytest.raises(ValueError, match="row 1"):
             load_records("")
 
+    @pytest.mark.parametrize("bad_row", [1, 2, 4097, 5002])
+    def test_decode_error_names_row(self, bad_row):
+        # A source that decodes line by line fails on exactly the bad row.
+        lines = [b"city\n"] + [b"Rome\n"] * 5001
+        lines[bad_row - 1] = "S\u00e3o Paulo\n".encode("latin-1")
+        with pytest.raises(ValueError, match=f"^row {bad_row}: 'utf-8' codec"):
+            load_records(line.decode() for line in lines)
+
 
 class TestPredicate:
     def test_parse_equals(self):
