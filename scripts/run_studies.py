@@ -16,19 +16,24 @@ import sys
 import time
 
 from dpbayes import SweepConfig, run_sweep, write_csv
-from dpbayes.simulation import DEFAULT_RUNS
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--runs", type=int, default=DEFAULT_RUNS,
+    parser.add_argument("--runs", type=int, default=SweepConfig.runs,
                         help="Monte Carlo runs per cell (default: %(default)s)")
-    parser.add_argument("--seed", type=int, default=0, help="base seed (default: %(default)s)")
+    parser.add_argument("--seed", type=int, default=SweepConfig.seed,
+                        help="base seed (default: %(default)s)")
     parser.add_argument("--out", default="sweep_results.csv",
                         help="CSV output path (default: %(default)s)")
     args = parser.parse_args(argv)
 
-    config = SweepConfig(runs=args.runs, seed=args.seed)
+    # Bad settings exit 2 before anything is printed or written, as in `dpbayes sweep`.
+    try:
+        config = SweepConfig(runs=args.runs, seed=args.seed)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     total = len(config.n_values) * len(config.p_values) * len(config.epsilon_values)
     print(f"running {total} cells at {config.runs} runs each (seed {config.seed})")
     start = time.time()

@@ -148,12 +148,10 @@ def main(argv=None) -> int:
     commands = {"sweep": cmd_sweep, "query": cmd_query, "analyze": cmd_analyze}
     try:
         return commands[args.command](args)
-    except (ValueError, OSError) as exc:
+    except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # runtime failure, not a usage problem
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        # Bad input is a usage error; anything else is a runtime failure.
+        return 2 if isinstance(exc, (ValueError, OSError)) else 1
 
 
 if __name__ == "__main__":

@@ -46,13 +46,6 @@ __all__ = [
 _BLOCKS = 1024
 
 
-def _check_response(y) -> float:
-    value = _check_real(y, "noisy response")
-    if not math.isfinite(value):
-        raise ValueError(f"noisy response must be a finite real, got {y!r}")
-    return value
-
-
 def naive_estimate(y: float) -> float:
     """The noisy response taken at face value.
 
@@ -62,7 +55,7 @@ def naive_estimate(y: float) -> float:
     Raises:
         ValueError: if ``y`` is not a finite real.
     """
-    return _check_response(y)
+    return _check_real(y, "noisy response")
 
 
 def posterior(prior: BinomialPrior, level: PrivacyLevel, y: float) -> np.ndarray:
@@ -80,7 +73,7 @@ def posterior(prior: BinomialPrior, level: PrivacyLevel, y: float) -> np.ndarray
         ValueError: if ``y`` is not finite or ``epsilon * n`` exceeds 2**33.
         FloatingPointError: if normalisation degenerates despite the shift.
     """
-    value = _check_response(y)
+    value = _check_real(y, "noisy response")
     _check_epsilon_n(prior.n, level.epsilon)
     k = np.arange(prior.n + 1, dtype=np.float64)
     log_w = log_mass_vector(prior) - level.epsilon * np.abs(np.clip(value, -1.0, prior.n) - k)
@@ -200,7 +193,7 @@ def bayes_estimate(prior: BinomialPrior, level: PrivacyLevel, y: float) -> float
     Raises:
         ValueError: if ``y`` is not finite or ``epsilon * n`` exceeds 2**33.
     """
-    value = min(max(_check_response(y), -1.0), float(prior.n))  # clipped as in the batch
+    value = min(max(_check_real(y, "noisy response"), -1.0), float(prior.n))  # as the batch clips
     width, _, rows, built, _ = store = _block_tables(prior, level.epsilon)
     start = math.floor(value) + 1
     if not built[start // width]:

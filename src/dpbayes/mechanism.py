@@ -45,7 +45,7 @@ class PrivacyLevel:
 
     def __post_init__(self) -> None:
         eps = _check_real(self.epsilon, "epsilon")
-        if not math.isfinite(eps) or eps <= 0.0:
+        if eps <= 0.0:
             raise ValueError(f"epsilon must be a positive finite real, got {self.epsilon!r}")
         if not math.isfinite(_laplace_quantile(_SMALLEST_UNIFORM, 1.0 / eps)):
             raise ValueError(f"epsilon {self.epsilon!r} is too small: its noise would overflow")
@@ -155,8 +155,8 @@ def _check_integer(value, what: str, minimum: int | None = None) -> int:
 def _check_real(value, what: str) -> float:
     """The package's one real-number check at its edges.
 
-    Refuses NaN, bools, strings and reals beyond the float range, such as
-    the int ``10**400``.
+    Refuses NaN, infinities, bools, strings and reals beyond the float
+    range, such as the int ``10**400``.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{what} must be a real number, got {value!r}")
@@ -164,8 +164,8 @@ def _check_real(value, what: str) -> float:
         number = float(value)
     except OverflowError:
         raise ValueError(f"{what} must be a real number within the float range") from None
-    if math.isnan(number):
-        raise ValueError(f"{what} must be a real number, got {value!r}")
+    if not math.isfinite(number):
+        raise ValueError(f"{what} must be a finite real number, got {value!r}")
     return number
 
 
@@ -216,9 +216,8 @@ def out_of_range_bounds(n: int, level: PrivacyLevel) -> OutOfRangeBounds:
         level: calibrated privacy level.
     """
     size = _check_integer(n, "db size", minimum=1)
-    max_prob = 0.5 * (1.0 + math.exp(-level.epsilon * size))
     argmin = frozenset({size // 2, (size + 1) // 2})
-    min_prob = out_of_range_probability(min(argmin), size, level)
+    max_prob, min_prob = (out_of_range_probability(a, size, level) for a in (0, size // 2))
     return OutOfRangeBounds(max_prob, frozenset({0, size}), min_prob, argmin)
 
 

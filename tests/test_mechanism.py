@@ -13,12 +13,14 @@ from scipy import integrate
 from dpbayes import (
     BinomialPrior,
     PrivacyLevel,
+    bayes_estimate,
     calibrate,
     dp_ratio_check,
     laplace_density,
     naive_estimate,
     out_of_range_bounds,
     out_of_range_probability,
+    posterior,
     sample_noise,
 )
 from dpbayes.mechanism import _laplace_quantile, _laplace_quantiles
@@ -95,6 +97,21 @@ class TestRealCheck:
         # float() of such a real raises OverflowError, which used to escape unconverted.
         for call in (naive_estimate, calibrate, lambda v: BinomialPrior(10, v)):
             with pytest.raises(ValueError, match="within the float range"):
+                call(value)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_values_are_refused_with_one_message(self, value):
+        prior, level = BinomialPrior(10, 0.3), calibrate(0.5)
+        calls = (
+            lambda v: BinomialPrior(10, v),
+            calibrate,
+            PrivacyLevel,
+            naive_estimate,
+            lambda v: bayes_estimate(prior, level, v),
+            lambda v: posterior(prior, level, v),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="must be a finite real number"):
                 call(value)
 
 

@@ -26,3 +26,12 @@ def test_default_grid_smoke(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "wrote 84 rows" in printed
     assert "match-probability sweep" in printed
+
+
+def test_bad_settings_exit_2_before_any_output(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert load_script().main(["--runs", "0", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: runs")
+    assert captured.out == ""
+    assert not out.exists()
