@@ -222,18 +222,34 @@ def bayes_estimate_batch(prior: BinomialPrior, level: PrivacyLevel, ys) -> np.nd
     ys = ys.astype(np.float64, copy=False)
     if not np.all(np.isfinite(ys)):
         raise ValueError("noisy responses must all be finite reals")
-    n, epsilon = prior.n, level.epsilon
-    width, _, rows, built, _ = store = _block_tables(prior, epsilon)
     out = np.empty(ys.shape[0], dtype=np.float64)
-    for lo in range(0, ys.shape[0], _CHUNK_ELEMENTS):
+    _posterior_means(prior, (level,), ys[None], out[None])
+    return out
+
+
+def _posterior_means(prior: BinomialPrior, levels, ys, out) -> None:
+    """Posterior means of ``ys[i]`` at ``levels[i]`` into ``out``; both are ``(levels, responses)``.
+
+    Each level gathers its own rows, then one :func:`_mix` serves them all,
+    ``_CHUNK_ELEMENTS`` responses per level at a time.  A degenerate mean
+    raises ``FloatingPointError`` naming its response's index in its level.
+    """
+    n = prior.n
+    stores = [_block_tables(prior, level.epsilon) for level in levels]
+    epsilon = np.array([[level.epsilon] for level in levels])
+    for lo in range(0, ys.shape[1], _CHUNK_ELEMENTS):
         # Outside [0, n) one side is empty whatever y is, so clipping changes
         # no mean and keeps epsilon*y within epsilon*n.
-        y = np.minimum(np.maximum(ys[lo : lo + _CHUNK_ELEMENTS], -1.0), float(n))
+        y = np.minimum(np.maximum(ys[:, lo : lo + _CHUNK_ELEMENTS], -1.0), float(n))
         start = np.floor(y).astype(np.int64) + 1  # first count right of y
-        if not built.take(start // width).all():
-            _add_rows(log_mass_vector(prior), epsilon, store, start // width)
-        out[lo : lo + _CHUNK_ELEMENTS] = _mix(*rows.take(start, axis=0).T, y, epsilon, n)
-    bad = np.flatnonzero(np.isnan(out))
+        gathered = np.empty(y.shape + (3,))
+        for level, store, level_start, level_rows in zip(levels, stores, start, gathered):
+            width, _, rows, built, _ = store
+            if not built.take(level_start // width).all():
+                _add_rows(log_mass_vector(prior), level.epsilon, store, level_start // width)
+            # start is in [0, n + 1], so "clip" moves no index and, unlike "raise", needs no buffer.
+            rows.take(level_start, axis=0, out=level_rows, mode="clip")
+        out[:, lo : lo + _CHUNK_ELEMENTS] = _mix(*gathered.transpose(2, 0, 1), y, epsilon, n)
+    bad = np.flatnonzero(np.isnan(out)) % out.shape[1]
     if bad.size:
         raise FloatingPointError(f"posterior normalisation degenerated at row {bad[0]}")
-    return out

@@ -10,6 +10,12 @@ epsilon = 1 and scaled by ``1/epsilon``.  A sweep draws once and scores the
 same runs in every cell, so cells are compared under common random numbers
 and a cell's result does not depend on the grid around it.  Philox is
 counter-based, so the rows for R runs are the first R rows for any larger R.
+
+A prior's levels are scored in one array pass over a ``(2, levels, runs)``
+block of raw and corrected errors: one posterior-kernel call, then one mean,
+one standard deviation and two counts along rows, each reduced as it would be
+alone, so a cell's bits do not depend on its neighbours.  A pass holds at most
+2**16 responses, so at 10**5 runs the levels go one at a time.
 """
 
 from __future__ import annotations
@@ -20,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import _check_epsilon_n, bayes_estimate_batch
-from .mechanism import PrivacyLevel, _check_integer, _laplace_quantiles, calibrate
+from .estimators import _check_epsilon_n, _posterior_means
+from .mechanism import _check_integer, _laplace_quantiles, calibrate
 from .prior import BinomialPrior, _quantiles
 
 __all__ = [
@@ -41,6 +47,9 @@ DEFAULT_N_VALUES = (100, 1000)
 DEFAULT_P_VALUES = (0.02, 0.1, 0.3, 0.5, 0.7, 0.9, 0.98)
 DEFAULT_EPSILON_VALUES = (0.05, 0.1, 0.2, 0.5, 1.0, 2.0)
 DEFAULT_RUNS = 100_000
+
+# Responses per scoring pass, across a prior's levels (see the module docstring).
+_PASS_RESPONSES = 2**16
 
 CSV_HEADER = (
     "n", "p", "epsilon", "noise_std", "avg_err_naive", "avg_err_naive_analytic",
@@ -111,32 +120,40 @@ def _draw_runs(runs: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return rows[:, 0], _laplace_quantiles(rows[:, 1])
 
 
-def _score_cell(
-    prior: BinomialPrior, level: PrivacyLevel, true_counts, unit_noise, seed: int
-) -> CellResult:
-    """Absolute errors of the raw responses and of their posterior-mean correction."""
+def _score_cells(prior: BinomialPrior, levels, counts, unit_noise, seed: int) -> list:
+    """Absolute errors of the raw responses and of their posterior-mean correction, per level."""
+    runs = counts.size
+    errors = np.empty((2, len(levels), runs))  # raw, corrected
     # The Laplace quantile is +-scale_b times a level-free magnitude, so
-    # rescaling the unit draw equals a draw at this level bitwise.
-    responses = true_counts + unit_noise * level.scale_b
-    corrected = bayes_estimate_batch(prior, level, responses)
-    runs = responses.size
-    err_naive = np.abs(responses - true_counts)
-    err_bayes = np.abs(corrected - true_counts)
-    return CellResult(
-        n=prior.n,
-        p=prior.p,
-        epsilon=level.epsilon,
-        noise_std=level.noise_std,
-        avg_err_naive=float(err_naive.mean()),
-        avg_err_naive_analytic=level.scale_b,
-        avg_err_bayes=float(err_bayes.mean()),
-        prob_bayes_better=int((err_bayes < err_naive).sum()) / runs,
-        se_naive=float(err_naive.std(ddof=1) / math.sqrt(runs)) if runs > 1 else float("nan"),
-        se_bayes=float(err_bayes.std(ddof=1) / math.sqrt(runs)) if runs > 1 else float("nan"),
-        ties=int((err_bayes == err_naive).sum()),
-        runs=runs,
-        seed=seed,
-    )
+    # rescaling the unit draw equals a draw at each level bitwise.
+    np.multiply(unit_noise, [[level.scale_b] for level in levels], out=errors[0])
+    errors[0] += counts
+    _posterior_means(prior, levels, errors[0], errors[1])
+    errors -= counts
+    np.abs(errors, out=errors)
+    avg = errors.mean(axis=-1).tolist()
+    spread = errors.std(axis=-1, ddof=1) if runs > 1 else np.full(errors.shape[:2], np.nan)
+    se = (spread / math.sqrt(runs)).tolist()
+    wins = (errors[1] < errors[0]).sum(axis=-1).tolist()
+    ties = (errors[1] == errors[0]).sum(axis=-1).tolist()
+    return [
+        CellResult(
+            n=prior.n,
+            p=prior.p,
+            epsilon=level.epsilon,
+            noise_std=level.noise_std,
+            avg_err_naive=avg[0][i],
+            avg_err_naive_analytic=level.scale_b,
+            avg_err_bayes=avg[1][i],
+            prob_bayes_better=wins[i] / runs,
+            se_naive=se[0][i],
+            se_bayes=se[1][i],
+            ties=ties[i],
+            runs=runs,
+            seed=seed,
+        )
+        for i, level in enumerate(levels)
+    ]
 
 
 def run_cell(n: int, p: float, epsilon: float, runs: int, seed: int) -> CellResult:
@@ -163,12 +180,13 @@ def run_sweep(config: SweepConfig) -> tuple[CellResult, ...]:
     cells = []
     levels = [calibrate(epsilon) for epsilon in config.epsilon_values]
     count_uniforms, unit_noise = _draw_runs(config.runs, config.seed)
+    group = max(1, _PASS_RESPONSES // config.runs)
     for n in config.n_values:
         for p in config.p_values:
             prior = BinomialPrior(n=n, p=p)
             counts = _quantiles(prior, count_uniforms)
-            for level in levels:
-                cells.append(_score_cell(prior, level, counts, unit_noise, config.seed))
+            for lo in range(0, len(levels), group):
+                cells += _score_cells(prior, levels[lo : lo + group], counts, unit_noise, config.seed)
     return tuple(cells)
 
 

@@ -361,6 +361,45 @@ class TestBatch:
         assert np.array_equal(bayes_estimate_batch(prior, level, ys[order]), full[order])
         assert np.array_equal([bayes_estimate(prior, level, y) for y in ys[:200]], full[:200])
 
+    @pytest.mark.parametrize("n", [100, 20_000])
+    @pytest.mark.parametrize("count", [1, 6])
+    def test_stacked_levels_equal_one_level_batches(self, n, count):
+        # The sweep scores a prior's levels in one kernel pass, each level
+        # with its own responses; every level's means are its own batch's,
+        # bitwise, on both sides of a chunk boundary.
+        prior = BinomialPrior(n=n, p=0.3)
+        levels = [calibrate(eps) for eps in (0.05, 0.1, 0.2, 0.5, 1.0, 2.0)[:count]]
+        rng = np.random.default_rng(count)
+        runs = estimators_module._CHUNK_ELEMENTS + 17
+        scales = np.array([[level.scale_b] for level in levels])
+        ys = rng.binomial(n, 0.3, runs) + rng.laplace(size=(count, runs)) * scales
+        ys[:, :40] = np.linspace(-40.0, n + 40.0, 40)
+        out = np.empty_like(ys)
+        estimators_module._block_tables.cache_clear()
+        estimators_module._posterior_means(prior, levels, ys, out)
+        for level, got, level_ys in zip(levels, out, ys):
+            assert np.array_equal(got, bayes_estimate_batch(prior, level, level_ys))
+
+    def test_degenerate_row_in_a_later_level_names_its_run(self):
+        # Run r's response -0.5 + r reads row r.  A NaN row in the second
+        # level's store fails the stacked pass at that level's run, as it
+        # fails that level's own batch.
+        prior = BinomialPrior(n=37, p=0.3)
+        levels = [calibrate(eps) for eps in (0.5, 1.0, 2.0)]
+        ys = np.tile(np.arange(-0.5, 37.0), (3, 1))
+        out = np.empty_like(ys)
+        estimators_module._block_tables.cache_clear()
+        try:
+            estimators_module._posterior_means(prior, levels, ys, out)
+            estimators_module._block_tables(prior, 1.0)[2][5] = np.nan
+            with pytest.raises(FloatingPointError, match="at row 5$"):
+                estimators_module._posterior_means(prior, levels, ys, out)
+            with pytest.raises(FloatingPointError, match="at row 5$"):
+                bayes_estimate_batch(prior, levels[1], ys[1])
+            assert np.array_equal(out[0], bayes_estimate_batch(prior, levels[0], ys[0]))
+        finally:
+            estimators_module._block_tables.cache_clear()
+
     @pytest.mark.parametrize(
         "n, rows, draw",
         [(10_000, 100_000, "normal"), (100_000, 100_000, "normal"), (10**6, 1000, "normal"),

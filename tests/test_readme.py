@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
+import io
+import platform
 import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from dpbayes import SweepConfig, run_sweep, write_csv
 from dpbayes.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -49,3 +54,20 @@ def test_readme_library_block_runs(tmp_path, monkeypatch):
     write_people(tmp_path)
     monkeypatch.chdir(tmp_path)
     exec(compile(readme_block("Library", "python"), str(README), "exec"), {})
+
+
+@pytest.mark.skipif(
+    np.__version__ != "2.4.6" or platform.machine() not in ("x86_64", "AMD64"),
+    reason="README's hashes hold for numpy 2.4.6 on x86-64",
+)
+@pytest.mark.parametrize("seed, digest", [
+    (0, "23680d6067db367f5f19090ab79150bcffde21a58862533b3822200434e64e35"),
+    (31337, "bdad3d1165faccf136c616326e89bb9964d22236d620d99c813404257a187370"),
+], ids=["seed-0", "seed-31337"])
+def test_readme_sweep_hashes(seed, digest):
+    # The posterior means go through numpy's log and exp, so the bytes are
+    # pinned only where README says they hold.
+    buffer = io.StringIO()
+    write_csv(run_sweep(SweepConfig(runs=2000, seed=seed)), buffer)
+    assert hashlib.sha256(buffer.getvalue().encode()).hexdigest() == digest
+    assert f"`{digest[:8]}…{digest[-4:]}`" in README.read_text()

@@ -22,7 +22,7 @@ from dpbayes import (
     write_csv,
 )
 from dpbayes.prior import _quantiles
-from dpbayes.simulation import CSV_HEADER
+from dpbayes.simulation import CSV_HEADER, DEFAULT_EPSILON_VALUES
 from vmhwm import peak_growth_mb
 
 
@@ -249,10 +249,10 @@ class TestRunCell:
             run_cell(*args)
 
     def test_aborting_cell_names_run_index(self, monkeypatch):
-        def broken(prior, level, ys):
+        def broken(prior, levels, ys, out):
             raise FloatingPointError("posterior normalisation degenerated at row 17")
 
-        monkeypatch.setattr(simulation_module, "bayes_estimate_batch", broken)
+        monkeypatch.setattr(simulation_module, "_posterior_means", broken)
         with pytest.raises(FloatingPointError, match="row 17"):
             run_cell(100, 0.3, 0.1, runs=50, seed=1)
 
@@ -280,23 +280,25 @@ class TestRunSweep:
     )
     def test_cell_errors_end_the_sweep(self, monkeypatch, error):
         # No cell is collected as failed: the first error propagates and
-        # the cells after it are never scored.
-        real_batch = simulation_module.bayes_estimate_batch
+        # the passes after it are never scored.  A pass scores one prior's
+        # levels, so the error comes from the second (n, p) of four.
+        real_kernel = simulation_module._posterior_means
         scored = []
 
-        def flaky(prior, level, ys):
-            if level.epsilon == 1.0:
+        def flaky(prior, levels, ys, out):
+            if (prior.n, prior.p) == (100, 0.5):
                 raise error
-            scored.append(level.epsilon)
-            return real_batch(prior, level, ys)
+            scored.append((prior.n, prior.p))
+            return real_kernel(prior, levels, ys, out)
 
-        monkeypatch.setattr(simulation_module, "bayes_estimate_batch", flaky)
+        monkeypatch.setattr(simulation_module, "_posterior_means", flaky)
         config = SweepConfig(
-            n_values=(100,), p_values=(0.3,), epsilon_values=(0.5, 1.0, 2.0), runs=100, seed=1
+            n_values=(100, 200), p_values=(0.3, 0.5), epsilon_values=(0.5, 1.0, 2.0), runs=100,
+            seed=1,
         )
         with pytest.raises(type(error), match=str(error)):
             run_sweep(config)
-        assert scored == [0.5]
+        assert scored == [(100, 0.3)]
 
     def test_draws_each_run_once_per_sweep(self, monkeypatch):
         keys = []
@@ -323,6 +325,33 @@ class TestRunSweep:
             for n in (1, 30) for p in (0.0, 0.4, 1.0) for eps in (0.05, 0.7, 3.0)
         )
         assert run_sweep(config) == expected
+
+    @pytest.mark.parametrize("runs, passes", [(2**16 // 4, [4, 2]), (2**16 // 4 + 1, [3, 3])])
+    def test_level_passes_equal_one_cell_sweeps(self, monkeypatch, runs, passes):
+        # A pass scores at most 2**16 responses, so six levels split unevenly;
+        # each cell still equals its one-cell sweep, bitwise.
+        kernel = simulation_module._posterior_means
+        seen = []
+
+        def recording(prior, levels, ys, out):
+            seen.append(len(levels))
+            return kernel(prior, levels, ys, out)
+
+        monkeypatch.setattr(simulation_module, "_posterior_means", recording)
+        epsilons = DEFAULT_EPSILON_VALUES
+        cells = run_sweep(SweepConfig((100,), (0.3,), epsilons, runs, 7))
+        assert seen == passes
+        assert cells == tuple(run_cell(100, 0.3, eps, runs, 7) for eps in epsilons)
+
+    def test_level_passes_keep_the_memory_of_one_level(self):
+        # At 10**5 runs a pass holds one level, so six levels peak where one
+        # does; six at once would hold 9.6 MB of errors alone.  Measured in a
+        # fresh process as growth of VmHWM.
+        body = "run_sweep(SweepConfig((100,), (0.3,), {}, 10**5, 0))\n"
+        setup = "from dpbayes import SweepConfig, run_sweep\n"
+        one = peak_growth_mb(body.format((1.0,)), setup=setup)
+        six = peak_growth_mb(body.format(DEFAULT_EPSILON_VALUES), setup=setup)
+        assert six - one < 1.0
 
     @pytest.mark.parametrize("epsilon", [0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 1e-3, 7.3])
     def test_rescaled_unit_noise_is_a_draw_at_epsilon(self, epsilon):
