@@ -7,6 +7,7 @@ predicate, missing or malformed data file), 1 on runtime failures.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -68,9 +69,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_sweep(args) -> int:
-    fields = ("n_values", "p_values", "epsilon_values", "runs", "seed")
     # SweepConfig supplies every setting whose flag was not given.
-    given = {key: getattr(args, key) for key in fields if getattr(args, key) is not None}
+    names = (field.name for field in dataclasses.fields(SweepConfig))
+    given = {key: getattr(args, key) for key in names if getattr(args, key) is not None}
     cells = run_sweep(SweepConfig(**given))
     if args.out is not None:
         with open(args.out, "w", newline="") as stream:

@@ -52,6 +52,8 @@ class Predicate:
             raise ValueError("predicate field name must be non-empty")
         if self.relation not in RELATIONS:
             raise ValueError(f"relation must be one of {RELATIONS}, got {self.relation!r}")
+        if isinstance(self.values, (str, bytes)):
+            raise ValueError(f"predicate values must be a collection, not the string {self.values!r}")
         values = tuple(self.values)
         if not values:
             raise ValueError("predicate needs at least one value")

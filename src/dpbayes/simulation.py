@@ -30,23 +30,7 @@ from .estimators import _check_epsilon_n, _posterior_means
 from .mechanism import _check_integer, _laplace_quantiles, calibrate
 from .prior import BinomialPrior, _quantiles
 
-__all__ = [
-    "DEFAULT_N_VALUES",
-    "DEFAULT_P_VALUES",
-    "DEFAULT_EPSILON_VALUES",
-    "DEFAULT_RUNS",
-    "CSV_HEADER",
-    "SweepConfig",
-    "CellResult",
-    "run_cell",
-    "run_sweep",
-    "write_csv",
-]
-
-DEFAULT_N_VALUES = (100, 1000)
-DEFAULT_P_VALUES = (0.02, 0.1, 0.3, 0.5, 0.7, 0.9, 0.98)
-DEFAULT_EPSILON_VALUES = (0.05, 0.1, 0.2, 0.5, 1.0, 2.0)
-DEFAULT_RUNS = 100_000
+__all__ = ["CSV_HEADER", "SweepConfig", "CellResult", "run_sweep", "write_csv"]
 
 # Responses per scoring pass, across a prior's levels (see the module docstring).
 _PASS_RESPONSES = 2**16
@@ -61,10 +45,10 @@ CSV_HEADER = (
 class SweepConfig:
     """Grid and reproducibility knobs; every value is checked before any cell runs."""
 
-    n_values: tuple = DEFAULT_N_VALUES
-    p_values: tuple = DEFAULT_P_VALUES
-    epsilon_values: tuple = DEFAULT_EPSILON_VALUES
-    runs: int = DEFAULT_RUNS
+    n_values: tuple = (100, 1000)
+    p_values: tuple = (0.02, 0.1, 0.3, 0.5, 0.7, 0.9, 0.98)
+    epsilon_values: tuple = (0.05, 0.1, 0.2, 0.5, 1.0, 2.0)
+    runs: int = 100_000
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -156,26 +140,16 @@ def _score_cells(prior: BinomialPrior, levels, counts, unit_noise, seed: int) ->
     ]
 
 
-def run_cell(n: int, p: float, epsilon: float, runs: int, seed: int) -> CellResult:
-    """Simulate one grid cell, as the one-cell sweep.
-
-    Per run: a true count from the prior and one calibrated noise draw,
-    then absolute errors of the raw response and of its posterior-mean
-    correction.  The result equals the matching cell of any sweep with the
-    same seed and runs, bitwise.
-
-    Raises:
-        ValueError: on invalid population, privacy, run or seed parameters.
-        FloatingPointError: naming the offending run if the posterior degenerates.
-    """
-    return run_sweep(SweepConfig((n,), (p,), (epsilon,), runs, seed))[0]
-
-
 def run_sweep(config: SweepConfig) -> tuple[CellResult, ...]:
     """Evaluate every (n, p, epsilon) cell of the configured grid.
 
-    The runs are drawn once and scored by every cell.  Cells come in grid
-    order (n outer, then p, then epsilon); an error in any cell ends the sweep.
+    Per run: a true count from the prior and one calibrated noise draw, then
+    absolute errors of the raw response and of its posterior-mean correction.
+    The runs are drawn once and scored by every cell, so a cell equals the one
+    cell of ``run_sweep(SweepConfig((n,), (p,), (epsilon,), runs, seed))``,
+    bitwise.  Cells come in grid order (n outer, then p, then epsilon); an
+    error in any cell (``FloatingPointError`` naming the run, if a posterior
+    degenerates) ends the sweep.
     """
     cells = []
     levels = [calibrate(epsilon) for epsilon in config.epsilon_values]

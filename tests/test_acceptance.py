@@ -21,7 +21,6 @@ from dpbayes import (
     out_of_range_bounds,
     out_of_range_probability,
     posterior,
-    run_cell,
     run_sweep,
     sample_noise,
     uncertainty_widths,
@@ -184,12 +183,12 @@ def test_criterion_8_property_suite():
     grid = dict(n_values=(100,), p_values=(0.3, 0.7), epsilon_values=(0.1, 1.0))
     swept = run_sweep(SweepConfig(**grid, runs=2_000, seed=ACCEPTANCE_SEED))
     alone = tuple(
-        run_cell(n, p, eps, runs=2_000, seed=ACCEPTANCE_SEED)
+        run_sweep(SweepConfig((n,), (p,), (eps,), runs=2_000, seed=ACCEPTANCE_SEED))[0]
         for n in grid["n_values"] for p in grid["p_values"] for eps in grid["epsilon_values"]
     )
     if swept != alone:
-        failures.append("sweep cells differ from independent run_cell results")
+        failures.append("sweep cells differ from independent one-cell sweeps")
 
     report(8, not failures, "; ".join(failures) if failures else
            f"variance gap {var_gap:.3%}; normalisation, range, ratio bound, "
-           "sweep/run_cell bitwise agreement all hold")
+           "sweep/one-cell-sweep bitwise agreement all hold")

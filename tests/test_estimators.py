@@ -407,10 +407,8 @@ class TestBatch:
         ids=["10000", "100000", "1000000", "1000000-uniform", "1000000-spread"],
     )
     def test_memory_stays_bounded(self, n, rows, draw):
-        # The dense kernel needed rows x (n+1) doubles per chunk: about 1 GB
-        # at n = 10**4.  At n = 10**6 the block tables are built a few
-        # blocks at a time; the cached 8 MB log-masses and their temporaries
-        # remain.
+        # At n = 10**6 the block tables are built a few blocks at a time;
+        # the cached 8 MB log-masses and their temporaries remain.
         # Responses drawn uniformly over [-1, n + 1] touch most blocks, so
         # most pages of the row store are written: 24 bytes per count.
         # Measured in a fresh process as growth of VmHWM.

@@ -18,12 +18,11 @@ from scipy import integrate, optimize
 from scipy.stats import binom, norm
 
 from dpbayes import SweepConfig, run_sweep
-from dpbayes.simulation import DEFAULT_EPSILON_VALUES, DEFAULT_N_VALUES, DEFAULT_P_VALUES
 from exact_errors import cell_moments
 
 GATE_RUNS = 2000
 GATE_SEEDS = (0, 31337)
-DEFAULT_CELLS = len(DEFAULT_N_VALUES) * len(DEFAULT_P_VALUES) * len(DEFAULT_EPSILON_VALUES)
+DEFAULT_CELLS = len(SweepConfig.n_values) * len(SweepConfig.p_values) * len(SweepConfig.epsilon_values)
 FIXTURE_CELLS = 17
 # Three statistics per cell: avg_err_naive, avg_err_bayes, prob_bayes_better.
 COMPARISONS = 3 * (len(GATE_SEEDS) * DEFAULT_CELLS + FIXTURE_CELLS)
@@ -100,13 +99,13 @@ class TestExactErrors:
         for name, value in quad_reference(n, p, epsilon).items():
             assert getattr(exact, name) == pytest.approx(value, rel=1e-10, abs=1e-11), name
 
-    @pytest.mark.parametrize("n", DEFAULT_N_VALUES)
+    @pytest.mark.parametrize("n", SweepConfig.n_values)
     def test_integration_identities_on_the_default_grid(self, n):
         # E[mu(Y)] = E[K] (tower rule) and the law of Y has total mass one.
         # The posterior mean has the least mean squared error, so it beats
         # both the raw response (2/eps^2) and the prior mean (n p (1 - p)).
-        for p in DEFAULT_P_VALUES:
-            for epsilon in DEFAULT_EPSILON_VALUES:
+        for p in SweepConfig.p_values:
+            for epsilon in SweepConfig.epsilon_values:
                 exact = cell_moments(n, p, epsilon)
                 assert abs(exact.bias) < 1e-12 * n, (p, epsilon, exact)
                 assert abs(exact.total_mass - 1.0) < 1e-11, (p, epsilon, exact)

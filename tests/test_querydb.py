@@ -143,6 +143,20 @@ class TestPredicate:
         with pytest.raises(ValueError):
             Predicate(field="city", relation="equals", values=("Rome", "Milan"))
 
+    @pytest.mark.parametrize("values", ["Rome", b"Rome"], ids=["str", "bytes"])
+    @pytest.mark.parametrize("relation", RELATIONS)
+    def test_rejects_a_bare_string_for_values(self, relation, values):
+        # A string is iterable: in-set "Rome" would test 'R', 'o', 'm' and 'e'.
+        with pytest.raises(ValueError, match="not the string"):
+            Predicate(field="city", relation=relation, values=values)
+
+    @pytest.mark.parametrize("values", [("Rome",), ["Rome"]], ids=["tuple", "list"])
+    def test_values_as_a_list_or_tuple(self, values):
+        db = RecordSet([{"city": "R"}, {"city": "o"}, {"city": "Rome"}])
+        pred = Predicate(field="city", relation="in-set", values=values)
+        assert pred.values == ("Rome",)
+        assert count_query(db, pred) == 1
+
     def test_matching(self):
         db = RecordSet([{"city": "Rome", "age": "30"}])
         assert count_query(db, Predicate.parse("city equals Rome")) == 1

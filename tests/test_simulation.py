@@ -16,13 +16,12 @@ from dpbayes import (
     SweepConfig,
     bayes_estimate_batch,
     calibrate,
-    run_cell,
     run_sweep,
     sample_noise,
     write_csv,
 )
 from dpbayes.prior import _quantiles
-from dpbayes.simulation import CSV_HEADER, DEFAULT_EPSILON_VALUES
+from dpbayes.simulation import CSV_HEADER
 from vmhwm import peak_growth_mb
 
 
@@ -39,6 +38,11 @@ class StubStream:
 def sweep_rows(runs, seed):
     """The row rule, read directly: row r of the sweep's one stream is run r."""
     return np.random.Generator(np.random.Philox(key=seed)).random((runs, 2))
+
+
+def one_cell(n, p, epsilon, runs, seed):
+    """The one cell of a one-cell sweep."""
+    return run_sweep(SweepConfig((n,), (p,), (epsilon,), runs, seed))[0]
 
 
 def reference_counts(n, p, uniforms):
@@ -67,18 +71,16 @@ class TestRunStream:
 
     def test_rejects_seeds_outside_64_bits(self):
         # Reducing seeds modulo 2**64 would make s and s + 2**64 alias.
-        run_cell(10, 0.3, 1.0, 5, 0)
-        run_cell(10, 0.3, 1.0, 5, 2**64 - 1)
+        assert SweepConfig(seed=0).seed == 0
+        assert SweepConfig(seed=2**64 - 1).seed == 2**64 - 1
         for seed in (-1, 2**64, 2**64 + 5, 2**70, 2.5):
             with pytest.raises(ValueError):
                 SweepConfig(seed=seed)
-            with pytest.raises(ValueError):
-                run_cell(10, 0.3, 1.0, 50, seed)
 
     @pytest.mark.parametrize("seed", [math.inf, -math.inf, math.nan])
     def test_rejects_non_finite_seeds(self, seed):
         with pytest.raises(ValueError):
-            run_cell(10, 0.3, 1.0, 5, seed)
+            SweepConfig(seed=seed)
 
 
 class TestDrawRuns:
@@ -131,7 +133,7 @@ class TestDrawRuns:
         assert smallest == -52.0 * math.log(2.0)
         assert unit_noise[::2].tolist() == [smallest] * 3
         assert np.all(unit_noise[1::2] != smallest)
-        cell = run_cell(100, 0.3, 0.5, runs=6, seed=3)
+        cell = one_cell(100, 0.3, 0.5, runs=6, seed=3)
         assert math.isfinite(cell.avg_err_bayes) and math.isfinite(cell.se_naive)
 
     def test_edge_noise_uniforms_match_sample_noise(self, monkeypatch):
@@ -158,7 +160,7 @@ class TestDrawRuns:
 class TestAnalyticNaiveError:
     @pytest.mark.parametrize("epsilon, expected", [(0.1, 10.0), (0.5, 2.0), (1.0, 1.0)])
     def test_closed_form(self, epsilon, expected):
-        cell = run_cell(10, 0.3, epsilon, runs=2, seed=0)
+        cell = one_cell(10, 0.3, epsilon, runs=2, seed=0)
         assert cell.avg_err_naive_analytic == pytest.approx(expected, rel=1e-15)
 
     def test_monte_carlo_agreement(self):
@@ -169,8 +171,10 @@ class TestAnalyticNaiveError:
 
 
 class TestRunCell:
+    """One cell, as the one-cell sweep that stands for it."""
+
     def test_smoke(self):
-        cell = run_cell(100, 0.3, 0.5, runs=500, seed=1)
+        cell = one_cell(100, 0.3, 0.5, runs=500, seed=1)
         assert isinstance(cell, CellResult)
         assert cell.runs == 500
         assert cell.avg_err_naive > 0.0
@@ -183,11 +187,11 @@ class TestRunCell:
     @pytest.mark.parametrize("epsilon", [3.0, 0.03])
     def test_noise_std_is_the_level_s(self, epsilon):
         # sqrt(2)/epsilon differs from the level's sqrt(2)*(1/epsilon) in the last bit here.
-        assert run_cell(10, 0.3, epsilon, runs=2, seed=0).noise_std == calibrate(epsilon).noise_std
+        assert one_cell(10, 0.3, epsilon, runs=2, seed=0).noise_std == calibrate(epsilon).noise_std
 
     def test_deterministic(self):
-        first = run_cell(100, 0.3, 0.1, runs=1_000, seed=42)
-        second = run_cell(100, 0.3, 0.1, runs=1_000, seed=42)
+        first = one_cell(100, 0.3, 0.1, runs=1_000, seed=42)
+        second = one_cell(100, 0.3, 0.1, runs=1_000, seed=42)
         assert first == second
 
     def test_matches_per_run_reference_loop(self):
@@ -203,50 +207,37 @@ class TestRunCell:
         err_naive = np.abs(responses - counts)
         corrected = bayes_estimate_batch(BinomialPrior(n=n, p=p), level, responses)
         err_bayes = np.abs(corrected - counts)
-        cell = run_cell(n, p, epsilon, runs=runs, seed=seed)
+        cell = one_cell(n, p, epsilon, runs=runs, seed=seed)
         assert cell.avg_err_naive == float(err_naive.mean())
         assert cell.avg_err_bayes == float(err_bayes.mean())
         assert cell.se_bayes == float(err_bayes.std(ddof=1) / math.sqrt(runs))
         assert cell.prob_bayes_better == int((err_bayes < err_naive).sum()) / runs
 
     def test_seed_changes_results(self):
-        a = run_cell(100, 0.3, 0.1, runs=1_000, seed=1)
-        b = run_cell(100, 0.3, 0.1, runs=1_000, seed=2)
+        a = one_cell(100, 0.3, 0.1, runs=1_000, seed=1)
+        b = one_cell(100, 0.3, 0.1, runs=1_000, seed=2)
         assert a.avg_err_naive != b.avg_err_naive
 
     def test_common_random_numbers_across_cells(self):
         # Run r's noise is the same in every cell of a sweep, whatever n and
         # p are, so the naive error (which is just |noise|) matches bitwise.
-        a = run_cell(100, 0.0, 0.1, runs=200, seed=9)
-        b = run_cell(100, 0.3, 0.1, runs=200, seed=9)
+        a = one_cell(100, 0.0, 0.1, runs=200, seed=9)
+        b = one_cell(100, 0.3, 0.1, runs=200, seed=9)
         assert a.avg_err_naive == b.avg_err_naive
-        shifted = run_cell(1000, 0.0, 0.1, runs=200, seed=9)
+        shifted = one_cell(1000, 0.0, 0.1, runs=200, seed=9)
         assert a.avg_err_naive == shifted.avg_err_naive
 
     def test_memory_stays_bounded_at_a_million_records(self):
         # A run costs two uniforms whatever n is, so a cell at n = 10**6 is
-        # cheap; the n uniforms per run it used to draw made it 10**9 doubles.
-        # What grows with n is O(n) per (n, p, epsilon): the prior's masses and
-        # the posterior's block sums, about 70 MB here.  Measured in a fresh
-        # process as growth of VmHWM.
+        # cheap.  What grows with n is O(n) per (n, p, epsilon): the prior's
+        # masses and the posterior's block sums, about 70 MB here.  Measured
+        # in a fresh process as growth of VmHWM.
         growth_mb = peak_growth_mb(
-            "cell = run_cell(10**6, 0.3, 0.1, runs=1000, seed=0)\n"
+            "cell = run_sweep(SweepConfig((10**6,), (0.3,), (0.1,), 1000, 0))[0]\n"
             "assert cell.runs == 1000 and cell.avg_err_bayes > 0.0\n",
-            setup="from dpbayes import run_cell\n",
+            setup="from dpbayes import SweepConfig, run_sweep\n",
         )
         assert growth_mb < 128
-
-    def test_rejects_bad_runs(self):
-        with pytest.raises(ValueError):
-            run_cell(100, 0.3, 0.1, runs=0, seed=1)
-
-    @pytest.mark.parametrize(
-        "args", [(0, 0.3, 0.1, 5, 1), (100, 1.5, 0.1, 5, 1), (100, 0.3, 0.0, 5, 1),
-                 (100, 0.3, 0.1, 5, -1)],
-    )
-    def test_rejects_bad_cell_parameters(self, args):
-        with pytest.raises(ValueError):
-            run_cell(*args)
 
     def test_aborting_cell_names_run_index(self, monkeypatch):
         def broken(prior, levels, ys, out):
@@ -254,7 +245,7 @@ class TestRunCell:
 
         monkeypatch.setattr(simulation_module, "_posterior_means", broken)
         with pytest.raises(FloatingPointError, match="row 17"):
-            run_cell(100, 0.3, 0.1, runs=50, seed=1)
+            one_cell(100, 0.3, 0.1, runs=50, seed=1)
 
 
 class TestRunSweep:
@@ -321,7 +312,7 @@ class TestRunSweep:
             runs=300, seed=2**64 - 1,
         )
         expected = tuple(
-            run_cell(n, p, eps, runs=300, seed=2**64 - 1)
+            one_cell(n, p, eps, runs=300, seed=2**64 - 1)
             for n in (1, 30) for p in (0.0, 0.4, 1.0) for eps in (0.05, 0.7, 3.0)
         )
         assert run_sweep(config) == expected
@@ -338,10 +329,10 @@ class TestRunSweep:
             return kernel(prior, levels, ys, out)
 
         monkeypatch.setattr(simulation_module, "_posterior_means", recording)
-        epsilons = DEFAULT_EPSILON_VALUES
+        epsilons = SweepConfig.epsilon_values
         cells = run_sweep(SweepConfig((100,), (0.3,), epsilons, runs, 7))
         assert seen == passes
-        assert cells == tuple(run_cell(100, 0.3, eps, runs, 7) for eps in epsilons)
+        assert cells == tuple(one_cell(100, 0.3, eps, runs, 7) for eps in epsilons)
 
     def test_level_passes_keep_the_memory_of_one_level(self):
         # At 10**5 runs a pass holds one level, so six levels peak where one
@@ -350,7 +341,7 @@ class TestRunSweep:
         body = "run_sweep(SweepConfig((100,), (0.3,), {}, 10**5, 0))\n"
         setup = "from dpbayes import SweepConfig, run_sweep\n"
         one = peak_growth_mb(body.format((1.0,)), setup=setup)
-        six = peak_growth_mb(body.format(DEFAULT_EPSILON_VALUES), setup=setup)
+        six = peak_growth_mb(body.format(SweepConfig.epsilon_values), setup=setup)
         assert six - one < 1.0
 
     @pytest.mark.parametrize("epsilon", [0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 1e-3, 7.3])
@@ -379,9 +370,12 @@ class TestRunSweep:
             {"seed": 2**64},
             {"seed": 2.5},
             {"runs": 2.5},
+            {"n_values": (0,)},
             {"n_values": (100, 0)},
             {"n_values": (10.5,)},
+            {"p_values": (1.5,)},
             {"p_values": (0.3, 1.5)},
+            {"epsilon_values": (0.0,)},
             {"epsilon_values": (1.0, 0.0)},
             {"epsilon_values": (math.inf,)},
             {"epsilon_values": (5e-324,)},
@@ -401,6 +395,8 @@ class TestRunSweep:
             {"runs": True},
             {"seed": False},
             {"seed": np.False_},
+            {"seed": True},
+            {"seed": np.True_},
         ],
     )
     def test_config_rejects_bools(self, kwargs):
@@ -418,13 +414,6 @@ class TestRunSweep:
         kwargs[key] = (value,) if key == "n_values" else value
         with pytest.raises(ValueError):
             SweepConfig(**kwargs)
-
-    def test_run_cell_rejects_bools(self):
-        with pytest.raises(ValueError):
-            run_cell(True, 0.3, True, True, False)
-        for seed in (True, np.True_):
-            with pytest.raises(ValueError):
-                run_cell(10, 0.3, 1.0, 5, seed)
 
 
 class TestWriteCsv:
