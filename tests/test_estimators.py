@@ -5,8 +5,6 @@ from __future__ import annotations
 import math
 import sys
 import threading
-from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
-from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -18,66 +16,11 @@ from dpbayes import (
     bayes_estimate,
     bayes_estimate_batch,
     calibrate,
-    log_mass_vector,
     naive_estimate,
     posterior,
 )
+from oracles import dense_posterior_mean, exact_posterior_mean
 from vmhwm import peak_growth_mb
-
-
-def oracle_posterior_mean(n, p, epsilon, y):
-    """Linear-space reference: exact comb() masses, no log-space tricks."""
-    weights = [
-        math.comb(n, k) * p**k * (1.0 - p) ** (n - k) * math.exp(-epsilon * abs(y - k))
-        for k in range(n + 1)
-    ]
-    total = sum(weights)
-    return sum(k * w for k, w in enumerate(weights)) / total
-
-
-# Decimal digits for the exact oracle; its own rounding stays below 1e-40.
-ORACLE_DIGITS = 50
-
-
-def _oracle_context(ctx):
-    ctx.prec = ORACLE_DIGITS
-    # e^{-epsilon * 1e6} must not underflow to zero.
-    ctx.Emax, ctx.Emin = MAX_EMAX, MIN_EMIN
-
-
-@lru_cache(maxsize=None)
-def exact_masses(n, p):
-    """Binomial(n, p) masses in decimal arithmetic from exact integer coefficients."""
-    with localcontext() as ctx:
-        _oracle_context(ctx)
-        prob = Decimal(p)  # the float's exact binary value
-        coefficient = 1  # math.comb(n, k), stepped exactly in integers
-        masses = []
-        for k in range(n + 1):
-            masses.append(ctx.create_decimal(coefficient) * prob**k * (1 - prob) ** (n - k))
-            coefficient = coefficient * (n - k) // (k + 1)
-        return masses
-
-
-def exact_posterior_mean(n, p, epsilon, y):
-    """Posterior mean in 50-digit linear-space arithmetic, independent of the kernel."""
-    with localcontext() as ctx:
-        _oracle_context(ctx)
-        eps, response = Decimal(epsilon), Decimal(y)
-        step = (-eps).exp()
-        last_left = min(max(math.floor(y), -1), n)  # counts k <= last_left lie at or below y
-        # exp(-eps*|y - k|), stepped outward by factors exp(-eps) from both sides of y.
-        likelihood = [Decimal(0)] * (n + 1)
-        factor = (-eps * (response - last_left)).exp()
-        for k in range(last_left, -1, -1):
-            likelihood[k] = factor
-            factor *= step
-        factor = (-eps * (last_left + 1 - response)).exp()
-        for k in range(last_left + 1, n + 1):
-            likelihood[k] = factor
-            factor *= step
-        weights = [m * f for m, f in zip(exact_masses(n, p), likelihood)]
-        return float(sum(k * w for k, w in enumerate(weights)) / sum(weights))
 
 
 def oracle_responses(n):
@@ -88,17 +31,6 @@ def oracle_responses(n):
         -1e6, -1.0, -0.5, 0.0, 0.5, 1.0, width - 1.0, float(width), edge - 0.5, float(edge),
         edge + 0.25, n / 2, n - 1.0, n - 0.5, float(n), n + 0.5, 1e6,
     })
-
-
-def dense_posterior_mean(prior, epsilon, y):
-    """Posterior mean by ``math.fsum`` over every weight within e^-60 of the
-    largest; it shares no summation with the kernel."""
-    k = np.arange(prior.n + 1, dtype=np.float64)
-    log_w = log_mass_vector(prior) - epsilon * np.abs(y - k)
-    top = log_w.max()
-    keep = log_w >= top - 60.0
-    w = np.exp(log_w[keep] - top)
-    return math.fsum(k[keep] * w) / math.fsum(w)
 
 
 class TestNaive:
@@ -190,7 +122,7 @@ class TestBayesEstimate:
         level = calibrate(0.1)
         for y in (-12.0, -0.5, 0.0, 4.25, 9.0, 17.5, 30.0, 41.0):
             ours = bayes_estimate(prior, level, y)
-            reference = oracle_posterior_mean(30, 0.3, 0.1, y)
+            reference = exact_posterior_mean(30, 0.3, 0.1, y)
             assert ours == pytest.approx(reference, rel=1e-9)
 
     @given(
@@ -201,7 +133,7 @@ class TestBayesEstimate:
     )
     def test_matches_oracle_property(self, n, p, epsilon, y):
         ours = bayes_estimate(BinomialPrior(n=n, p=p), calibrate(epsilon), y)
-        reference = oracle_posterior_mean(n, p, epsilon, y)
+        reference = exact_posterior_mean(n, p, epsilon, y)
         assert ours == pytest.approx(reference, rel=1e-9, abs=1e-12)
 
     @given(
@@ -265,8 +197,8 @@ class TestExactOracle:
                     misses.append((epsilon, y, value, want))
         assert not misses
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the kernel errs by about "
-                       "epsilon*n*2**-53, up to 3.2e-9 here")
+    @pytest.mark.xfail(strict=True, reason="ROADMAP 'exponents relative to the block': the "
+                       "kernel errs by about epsilon*n*2**-53, up to 3.2e-9 here")
     @pytest.mark.parametrize("p", [0.3, 0.02])
     def test_large_epsilon_n_matches_dense_reference(self, p):
         prior, epsilon = BinomialPrior(n=10**6, p=p), 50.0

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -18,39 +17,7 @@ from dpbayes import (
     uncertainty_widths,
 )
 from dpbayes.prior import _CHUNK_ELEMENTS, _interior_log_masses, _quantiles
-
-
-def reference_log_masses(n, p, counts):
-    """ln of Binomial(n, p) masses at sorted ``counts`` in 50-digit decimal arithmetic.
-
-    Masses are stepped by their exact ratios, up from (1 - p)**n for counts
-    up to n/2 and down from p**n above, with p the float's exact binary value;
-    up to 16 steps' integer factors are multiplied exactly before each
-    decimal product.
-    """
-    with localcontext() as ctx:
-        ctx.prec = 50
-        ctx.Emax, ctx.Emin = MAX_EMAX, MIN_EMIN  # p**n must not underflow to zero
-        prob = Decimal(p)
-        odds = [(prob / (1 - prob)) ** s for s in range(17)]
-        logs = {}
-        k, mass = 0, (1 - prob) ** n
-        for target in (c for c in counts if 2 * c <= n):
-            while k < target:
-                s = min(16, target - k)
-                up, down = math.prod(range(n - k - s + 1, n - k + 1)), math.prod(range(k + 1, k + s + 1))
-                mass = mass * up * odds[s] / down
-                k += s
-            logs[target] = float(mass.ln())
-        k, mass = n, prob**n
-        for target in (c for c in reversed(counts) if 2 * c > n):
-            while k > target:
-                s = min(16, k - target)
-                up, down = math.prod(range(k - s + 1, k + 1)), math.prod(range(n - k + 1, n - k + s + 1))
-                mass = mass * up / (down * odds[s])
-                k -= s
-            logs[target] = float(mass.ln())
-        return [logs[k] for k in counts]
+from oracles import decimal_masses
 
 
 class TestValidation:
@@ -146,6 +113,17 @@ class TestLogMass:
         whole = np.concatenate([[n * math.log1p(-p)], interior, [n * math.log(p)]])
         assert np.array_equal(log_mass_vector(BinomialPrior(n=n, p=p)), whole)
 
+    def test_decimal_reference_matches_rationals(self):
+        # Every count, and counts far apart, which decimal_masses steps up to
+        # 16 at a time; p is the float's exact binary value.
+        for n in (1, 2, 17, 60):
+            for p in (1e-9, 0.3, 0.5, 1.0 - 1e-9):
+                prob = Fraction(p)
+                for ks in (range(n + 1), sorted({0, n // 2, n // 2 + 1, n})):
+                    for k, mass in zip(ks, decimal_masses(n, p, ks)):
+                        want = math.comb(n, k) * prob**k * (1 - prob) ** (n - k)
+                        assert abs(Fraction(mass) - want) <= want / 10**45, (n, p, k)
+
     # At p = 5e-324, n*p is so small that x/(n*p) would overflow.
     @pytest.mark.parametrize("n, p", [(20, 5e-324), (30, 0.3), (1000, 0.3), (10_000, 1e-9),
                                       (10_000, 0.98), (100_000, 0.02), (10**6, 0.3)])
@@ -160,7 +138,7 @@ class TestLogMass:
         mode = int(n * p)
         ks = sorted({0, 1, 2, 3, 15, 16, 17, n - 1, n} | set(range(0, n + 1, max(1, n // 200)))
                     | set(range(max(0, mode - 50), min(n, mode + 50) + 1)))
-        want = np.array(reference_log_masses(n, p, ks))
+        want = np.array([float(m.ln()) for m in decimal_masses(n, p, ks)])
         got = log_mass_vector(BinomialPrior(n=n, p=p))[ks]
         bound = 16 * 2.0**-53 * (np.abs(want) + np.abs(np.array(ks) - n * p) + 1.0)
         assert np.all(np.abs(got - want) <= bound)
