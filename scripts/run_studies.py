@@ -28,20 +28,20 @@ def main(argv=None) -> int:
                         help="CSV output path (default: %(default)s)")
     args = parser.parse_args(argv)
 
-    # Bad settings exit 2 before anything is printed or written, as in `dpbayes sweep`.
+    # As in `dpbayes sweep`, bad settings exit 2 before anything is printed or
+    # written, and an unwritable --out exits 2 once the sweep has run.
     try:
         config = SweepConfig(runs=args.runs, seed=args.seed)
-    except ValueError as exc:
+        total = len(config.n_values) * len(config.p_values) * len(config.epsilon_values)
+        print(f"running {total} cells at {config.runs} runs each (seed {config.seed})")
+        start = time.time()
+        cells = run_sweep(config)
+        print(f"done in {time.time() - start:.1f}s")
+        with open(args.out, "w", newline="") as stream:
+            write_csv(cells, stream)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    total = len(config.n_values) * len(config.p_values) * len(config.epsilon_values)
-    print(f"running {total} cells at {config.runs} runs each (seed {config.seed})")
-    start = time.time()
-    cells = run_sweep(config)
-    print(f"done in {time.time() - start:.1f}s")
-
-    with open(args.out, "w", newline="") as stream:
-        write_csv(cells, stream)
     print(f"wrote {len(cells)} rows to {args.out}")
 
     by_key = {(c.n, c.p, c.epsilon): c for c in cells}

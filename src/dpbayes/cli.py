@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .estimators import _check_epsilon_n, bayes_estimate
-from .mechanism import calibrate, out_of_range_bounds, out_of_range_probability
+from .mechanism import PrivacyLevel, out_of_range_bounds, out_of_range_probability
 from .prior import BinomialPrior, uncertainty_widths
 from .querydb import Predicate, load_records, noisy_count_query, public_answer
 from .simulation import SweepConfig, _check_seed, run_sweep, write_csv
@@ -83,7 +83,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_query(args) -> int:
     # Every usage error surfaces before the release, so none spends budget.
-    level = calibrate(args.eps)
+    level = PrivacyLevel(args.eps)
     pred = Predicate.parse(args.where)
     # The model is the analyst's: a size read from the table can be the true count.
     if (args.p is None) != (args.n_known is None):
@@ -114,7 +114,7 @@ def cmd_query(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    level = calibrate(args.eps)
+    level = PrivacyLevel(args.eps)
     if args.p is not None:
         binomial_width, laplace_width = uncertainty_widths(BinomialPrior(args.n, args.p), level)
         print(f"binomial 1-sigma interval width: {binomial_width:.4f}")

@@ -18,26 +18,22 @@ import numpy as np
 # The smallest positive double uniform; it gives the largest noise, 52*ln(2)/epsilon.
 _SMALLEST_UNIFORM = 2.0**-53
 
-__all__ = [
-    "PrivacyLevel",
-    "OutOfRangeBounds",
-    "calibrate",
-    "laplace_density",
-    "sample_noise",
-    "out_of_range_probability",
-    "out_of_range_bounds",
-    "dp_ratio_check",
-]
+__all__ = ["PrivacyLevel", "OutOfRangeBounds", "calibrate", "laplace_density", "sample_noise",
+           "out_of_range_probability", "out_of_range_bounds", "dp_ratio_check"]
 
 
 @dataclass(frozen=True)
 class PrivacyLevel:
-    """Privacy level epsilon and the Laplace scale it pins down.
+    """Privacy level epsilon and the Laplace scale it pins down; ``calibrate`` names it too.
 
-    Counting queries have sensitivity 1, so the scale is always
-    ``scale_b = 1/epsilon``; the field is derived, never passed in.  The
-    sampler's largest noise, ``52*ln(2)/epsilon`` at the uniform 2**-53,
-    must be finite, so epsilon below about 2.005e-307 is refused.
+    Args:
+        epsilon: a positive finite real.  Smaller epsilon means stronger
+            privacy and noisier answers.  Counting queries have sensitivity
+            1, so ``scale_b = 1/epsilon`` is derived, never passed in.
+
+    Raises:
+        ValueError: if epsilon is not a positive finite real, or below about
+            2.005e-307, where the largest noise, ``52*ln(2)/epsilon``, overflows.
     """
 
     epsilon: float
@@ -58,21 +54,7 @@ class PrivacyLevel:
         return math.sqrt(2.0) * self.scale_b
 
 
-def calibrate(epsilon: float) -> PrivacyLevel:
-    """Calibrate Laplace noise for a sensitivity-1 counting query.
-
-    Args:
-        epsilon: privacy level; must be a positive finite real.  Smaller
-            epsilon means stronger privacy and noisier answers.
-
-    Returns:
-        The :class:`PrivacyLevel` with ``scale_b = 1/epsilon``.
-
-    Raises:
-        ValueError: if epsilon is not a positive finite real, or so small
-            that the largest noise the sampler can return overflows.
-    """
-    return PrivacyLevel(epsilon)
+calibrate = PrivacyLevel
 
 
 def laplace_density(z, level: PrivacyLevel) -> np.ndarray:
@@ -91,59 +73,51 @@ def laplace_density(z, level: PrivacyLevel) -> np.ndarray:
 
 
 def sample_noise(level: PrivacyLevel, rng) -> float:
-    """Draw one Laplace(0, b) variate by inverting the CDF at a uniform draw.
+    """Draw one Laplace(0, b) variate by inverting the CDF at one uniform ``u`` from ``rng``.
 
-    Consumes exactly one uniform ``u`` from ``rng`` (plus redraws in the
-    measure-zero event that ``u`` is 0.0 or 1.0, where the transform is
-    undefined).  ``u > 0.5`` maps to positive noise, ``u = 0.5`` to exactly
-    0.0.  The result is unbounded and never clamped.
+    ``u > 0.5`` maps to positive noise and ``u = 0.5`` to exactly 0.0; a
+    ``u`` below 2**-53, 0.0 included, reads as 2**-53, as in the sweep.
 
     Args:
         level: calibrated privacy level.
         rng: any object with a ``random()`` method returning floats in
             [0, 1); numpy ``Generator`` instances qualify.
     """
-    u = rng.random()
-    while u == 0.0 or u == 1.0:
-        u = rng.random()
-    return _laplace_quantile(u, level.scale_b)
+    return _laplace_quantile(rng.random(), level.scale_b)
 
 
 def _laplace_quantile(u: float, scale_b: float) -> float:
-    """Laplace(0, scale_b) quantile at ``u`` in (0, 1): the package's one u -> noise step.
+    """Laplace(0, scale_b) quantile at ``u`` in [0, 1): the package's one u -> noise step.
 
-    Single draws take this scalar form: :func:`_laplace_quantiles` on a
-    one-element array costs over ten times as much, a fifth of a query's
-    time.  Both take ``math.log1p``: numpy's vectorised ``log1p`` can differ
-    from it in the last bit, which would change seeded releases.
+    A ``u`` below 2**-53 reads as 2**-53, whose noise :class:`PrivacyLevel`
+    keeps finite; a conditional does it, as ``max()`` adds a sixth to a draw's
+    time.  Single draws take this scalar form: the array form costs over ten
+    times as much on one element, a fifth of a query's time.  Both take
+    ``math.log1p``: numpy's ``log1p`` can differ from it in the last bit,
+    which would change seeded releases.
     """
-    d = u - 0.5
+    d = (u if u > _SMALLEST_UNIFORM else _SMALLEST_UNIFORM) - 0.5
     # (d > 0) - (d < 0) is 0 at d == 0, unlike math.copysign.
     sign = (d > 0.0) - (d < 0.0)
     return -scale_b * sign * math.log1p(-2.0 * abs(d))
 
 
 def _laplace_quantiles(uniforms: np.ndarray) -> np.ndarray:
-    """:func:`_laplace_quantile` at scale 1 for each uniform of a 1-d array in [0, 1).
-
-    Bitwise equal: the same operations in the same order, ``math.log1p`` per
-    element.  A uniform of 0.0, which has no quantile, reads as 2**-53.
-    """
+    """:func:`_laplace_quantile` at scale 1 per element, bitwise: same steps, same ``math.log1p``."""
     d = np.maximum(uniforms, _SMALLEST_UNIFORM) - 0.5
     magnitude = np.fromiter(map(math.log1p, (-2.0 * np.abs(d)).tolist()), np.float64, count=d.size)
     return -np.sign(d) * magnitude
 
 
 def _check_integer(value, what: str, minimum: int | None = None) -> int:
-    """The package's one integer check for values taken at its edges.
+    """The package's one integer check at its edges: ``value`` as an int, else ``ValueError``.
 
-    Returns ``value`` as an int.  Raises ``ValueError`` for bools (an int
-    subclass: True would pass as 1), non-integral values (``int()``
-    truncates 1.7 to 1), NaN and infinities, and values below ``minimum``.
+    Refuses bools (an int subclass: True would pass as 1), non-integral values
+    (``int()`` truncates 1.7 to 1), None, NaN, infinities and values below ``minimum``.
     """
     try:
         number = int(value)
-    except (ValueError, OverflowError):
+    except (TypeError, ValueError, OverflowError):
         number = None
     if isinstance(value, (bool, np.bool_)) or number is None or number != value:
         raise ValueError(f"{what} must be an integer, got {value!r}")
@@ -167,6 +141,19 @@ def _check_real(value, what: str) -> float:
     if not math.isfinite(number):
         raise ValueError(f"{what} must be a finite real number, got {value!r}")
     return number
+
+
+def _check_collection(values, what: str) -> tuple:
+    """The package's one collection check at its edges: ``values`` as a non-empty tuple."""
+    if isinstance(values, (str, bytes)):  # a string would iterate by character
+        raise ValueError(f"{what} must be a collection, not the string {values!r}")
+    try:
+        items = tuple(values)
+    except TypeError:
+        items = ()
+    if not items:
+        raise ValueError(f"{what} must be a non-empty collection, got {values!r}")
+    return items
 
 
 def out_of_range_probability(a: int, n: int, level: PrivacyLevel) -> float:
@@ -222,7 +209,7 @@ def out_of_range_bounds(n: int, level: PrivacyLevel) -> OutOfRangeBounds:
 
 
 def dp_ratio_check(level: PrivacyLevel, a1: int, a2: int, grid) -> bool:
-    """Check the pointwise density-ratio bound of epsilon-differential privacy.
+    """Whether the pointwise density-ratio bound of epsilon-DP holds on the whole grid.
 
     For neighbouring true counts (``|a1 - a2| = 1``) the output densities
     must satisfy ``f(y - a1) <= exp(epsilon) * f(y - a2)`` at every point of
@@ -236,9 +223,6 @@ def dp_ratio_check(level: PrivacyLevel, a1: int, a2: int, grid) -> bool:
         a1: first true count.
         a2: second true count; must differ from ``a1`` by exactly 1.
         grid: points at which to test the ratio.
-
-    Returns:
-        True when the bound holds on the whole grid.
 
     Raises:
         ValueError: if the counts are not integers or not neighbours.

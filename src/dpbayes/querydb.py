@@ -16,7 +16,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import islice
 
-from .mechanism import PrivacyLevel, sample_noise
+from .mechanism import PrivacyLevel, _check_collection, sample_noise
 
 __all__ = [
     "RELATIONS",
@@ -52,11 +52,7 @@ class Predicate:
             raise ValueError("predicate field name must be non-empty")
         if self.relation not in RELATIONS:
             raise ValueError(f"relation must be one of {RELATIONS}, got {self.relation!r}")
-        if isinstance(self.values, (str, bytes)):
-            raise ValueError(f"predicate values must be a collection, not the string {self.values!r}")
-        values = tuple(self.values)
-        if not values:
-            raise ValueError("predicate needs at least one value")
+        values = _check_collection(self.values, "predicate values")
         if self.relation != "in-set" and len(values) != 1:
             raise ValueError(f"{self.relation} takes exactly one value, got {len(values)}")
         object.__setattr__(self, "values", values)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import _check_epsilon_n, _posterior_means
-from .mechanism import _check_integer, _laplace_quantiles, calibrate
+from .mechanism import PrivacyLevel, _check_collection, _check_integer, _laplace_quantiles
 from .prior import BinomialPrior, _quantiles
 
 __all__ = ["CSV_HEADER", "SweepConfig", "CellResult", "run_sweep", "write_csv"]
@@ -55,13 +55,11 @@ class SweepConfig:
         checks = {
             "n_values": lambda n: BinomialPrior(n=n, p=0.0).n,
             "p_values": lambda p: BinomialPrior(n=1, p=p).p,
-            "epsilon_values": lambda epsilon: calibrate(epsilon).epsilon,
+            "epsilon_values": lambda epsilon: PrivacyLevel(epsilon).epsilon,
         }
         for name, check in checks.items():
-            values = tuple(map(check, getattr(self, name)))
-            if not values:
-                raise ValueError(f"{name} must be non-empty")
-            object.__setattr__(self, name, values)
+            values = _check_collection(getattr(self, name), name)
+            object.__setattr__(self, name, tuple(map(check, values)))
         _check_epsilon_n(max(self.n_values), max(self.epsilon_values))
         object.__setattr__(self, "runs", _check_integer(self.runs, "runs", minimum=1))
         object.__setattr__(self, "seed", _check_seed(self.seed))
@@ -152,7 +150,7 @@ def run_sweep(config: SweepConfig) -> tuple[CellResult, ...]:
     degenerates) ends the sweep.
     """
     cells = []
-    levels = [calibrate(epsilon) for epsilon in config.epsilon_values]
+    levels = [PrivacyLevel(epsilon) for epsilon in config.epsilon_values]
     count_uniforms, unit_noise = _draw_runs(config.runs, config.seed)
     group = max(1, _PASS_RESPONSES // config.runs)
     for n in config.n_values:

@@ -85,6 +85,10 @@ class TestCalibrate:
         assert math.isfinite(level.noise_std)
         for u in (2.0**-53, 1.0 - 2.0**-53):
             assert math.isfinite(sample_noise(level, StubStream([u])))
+        # At 2**-54 the quantile is 53*ln(2)/epsilon, past the bound checked
+        # above, and overflows; every u below 2**-53 reads as 2**-53 instead.
+        for u in (2.0**-54, 2.0**-55, 5e-324, 0.0):
+            assert sample_noise(level, StubStream([u])) == sample_noise(level, StubStream([2.0**-53]))
 
     @given(st.floats(min_value=1e-6, max_value=1e6, allow_nan=False))
     def test_scale_exactly_reciprocal(self, epsilon):
@@ -113,6 +117,24 @@ class TestRealCheck:
         for call in calls:
             with pytest.raises(ValueError, match="must be a finite real number"):
                 call(value)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: BinomialPrior(n=None, p=0.3),
+            lambda: BinomialPrior(n=10, p=None),
+            lambda: calibrate(None),
+            lambda: out_of_range_probability(None, 10, calibrate(0.5)),
+            lambda: out_of_range_probability(5, None, calibrate(0.5)),
+            lambda: out_of_range_bounds(None, calibrate(0.5)),
+            lambda: dp_ratio_check(calibrate(0.5), None, 1, [0.0]),
+        ],
+        ids=["prior-n", "prior-p", "epsilon", "true-count", "db-size", "bounds-n", "dp-a1"],
+    )
+    def test_none_is_a_value_error(self, call):
+        # int(None) raises TypeError, which used to escape the integer check.
+        with pytest.raises(ValueError, match="must be an? (integer|real number)"):
+            call()
 
 
 class TestLaplaceDensity:
@@ -162,22 +184,29 @@ class TestSampleNoise:
         mirrored = sample_noise(calibrate(0.1), StubStream([0.25]))
         assert mirrored == pytest.approx(-value, rel=1e-12)
 
-    def test_redraws_on_endpoint_uniforms(self):
-        direct = sample_noise(calibrate(0.1), StubStream([0.75]))
-        assert sample_noise(calibrate(0.1), StubStream([0.0, 0.75])) == direct
-        assert sample_noise(calibrate(0.1), StubStream([1.0, 0.0, 0.75])) == direct
+    def test_zero_uniform_reads_as_the_smallest_uniform(self):
+        # One uniform per draw, as in the sweep: 0.0 has no quantile, so it
+        # reads as 2**-53.  1.0 lies outside [0, 1) and is refused by both forms.
+        level, stream = calibrate(0.1), StubStream([0.0, 0.75])
+        assert sample_noise(level, stream) == sample_noise(level, StubStream([2.0**-53]))
+        assert stream.values == [0.75]
+        with pytest.raises(ValueError):
+            sample_noise(level, StubStream([1.0]))
+        with pytest.raises(ValueError):
+            _laplace_quantiles(np.array([1.0]))
 
     @pytest.mark.parametrize("epsilon", [0.05, 0.1, 1.0, 2.0])
     def test_smallest_noise_is_unreachable_from_the_next_count(self, epsilon):
         # Floating-point sampling breaks the density-ratio bound (Mironov,
-        # CCS 2012).  2**-53 is the smallest uniform sample_noise accepts
-        # (numpy's random() returns multiples of 2**-53 and 0.0 is redrawn),
-        # so it yields the smallest noise the sampler can return.  The
-        # release a + noise then has positive probability at true count a
-        # but none at a + 1, whose releases all lie strictly above it.
+        # CCS 2012).  2**-53 is the smallest uniform sample_noise reads
+        # (numpy's random() returns multiples of 2**-53 and any smaller u
+        # reads as 2**-53), so it yields the smallest noise the sampler can
+        # return.  The release a + noise then has positive probability at
+        # true count a but none at a + 1, whose releases all lie strictly
+        # above it.
         level = calibrate(epsilon)
         smallest = sample_noise(level, StubStream([2.0**-53]))
-        assert smallest == sample_noise(level, StubStream([0.0, 2.0**-53]))
+        assert smallest == sample_noise(level, StubStream([0.0]))
         assert smallest == pytest.approx(-52.0 * math.log(2.0) * level.scale_b, rel=1e-12)
         assert sample_noise(level, StubStream([2.0**-52])) > smallest
         for a in (0, 1, 50, 99):
@@ -187,9 +216,10 @@ class TestSampleNoise:
     def test_array_quantile_equals_scalar_bitwise(self):
         # Among these uniforms numpy's own log1p differs from math.log1p in the
         # last bit at thousands (x86-64, numpy 2.4), so a switch to it fails here.
+        # The edges are the median, the ends of [0, 1) and uniforms below 2**-53.
         uniforms = np.random.default_rng(2024).random(100_000)
-        uniforms[:3] = [0.5, 2.0**-53, 1.0 - 2.0**-53]
-        expected = [_laplace_quantile(max(u, 2.0**-53), 1.0) for u in uniforms.tolist()]
+        uniforms[:8] = [0.5, 2.0**-53, 1.0 - 2.0**-53, 0.0, 5e-324, 2.0**-60, 2.0**-55, 2.0**-54]
+        expected = [_laplace_quantile(u, 1.0) for u in uniforms.tolist()]
         assert _laplace_quantiles(uniforms).tobytes() == np.array(expected).tobytes()
 
     def test_deterministic_given_stream(self):

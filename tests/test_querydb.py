@@ -150,6 +150,11 @@ class TestPredicate:
         with pytest.raises(ValueError, match="not the string"):
             Predicate(field="city", relation=relation, values=values)
 
+    @pytest.mark.parametrize("values", [None, 7, (), []], ids=["none", "int", "tuple", "list"])
+    def test_rejects_values_that_are_no_collection_or_empty(self, values):
+        with pytest.raises(ValueError, match="predicate values must be a non-empty collection"):
+            Predicate(field="city", relation="in-set", values=values)
+
     @pytest.mark.parametrize("values", [("Rome",), ["Rome"]], ids=["tuple", "list"])
     def test_values_as_a_list_or_tuple(self, values):
         db = RecordSet([{"city": "R"}, {"city": "o"}, {"city": "Rome"}])

@@ -35,3 +35,12 @@ def test_bad_settings_exit_2_before_any_output(tmp_path, capsys):
     assert captured.err.startswith("error: runs")
     assert captured.out == ""
     assert not out.exists()
+
+
+def test_unwritable_out_exits_2_with_one_error_line(tmp_path, capsys):
+    out = tmp_path / "missing" / "sweep.csv"
+    assert load_script().main(["--runs", "20", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
+    assert not out.exists()

@@ -26,13 +26,13 @@ from vmhwm import peak_growth_mb
 
 
 class StubStream:
-    """Returns one fixed uniform, so sample_noise can be evaluated at a chosen u."""
+    """Returns one chosen uniform, once: sample_noise at that u, drawing nothing more."""
 
     def __init__(self, value):
-        self.value = float(value)
+        self.values = [float(value)]
 
     def random(self):
-        return self.value
+        return self.values.pop()
 
 
 def sweep_rows(runs, seed):
@@ -117,8 +117,8 @@ class TestDrawRuns:
         assert shorter[1].tobytes() == longer[1][:runs].tobytes()
 
     def test_zero_noise_uniform_is_the_smallest_uniform(self, monkeypatch):
-        # sample_noise redraws u = 0; a row has one noise uniform, so 0 stands
-        # for the smallest positive uniform, 2**-53, and the noise stays finite.
+        # A uniform of 0 stands for the smallest positive uniform, 2**-53, so
+        # the noise stays finite.
         base = np.random.Generator
 
         class Generator(base):
@@ -150,8 +150,7 @@ class TestDrawRuns:
 
         monkeypatch.setattr(np.random, "Generator", Generator)
         _, unit_noise = simulation_module._draw_runs(len(edges), 3)
-        # sample_noise redraws u = 0; the draw reads it as 2**-53 instead.
-        expected = [sample_noise(calibrate(1.0), StubStream(max(u, 2.0**-53))) for u in edges]
+        expected = [sample_noise(calibrate(1.0), StubStream(u)) for u in edges]
         assert unit_noise.tobytes() == np.array(expected).tobytes()
         assert unit_noise[3] == 0.0 and math.copysign(1.0, unit_noise[3]) == 1.0
         assert np.sign(unit_noise).tolist() == [-1.0, -1.0, -1.0, 0.0, 1.0, 1.0]
@@ -380,6 +379,12 @@ class TestRunSweep:
             {"epsilon_values": (math.inf,)},
             {"epsilon_values": (5e-324,)},
             {"epsilon_values": (0.5, 1e7)},  # epsilon * n = 1e10 > 2**33 at n = 1000
+            {"runs": None},
+            {"seed": None},
+            {"n_values": b"d", "p_values": (0.3,), "epsilon_values": (1.0,)},  # not n = 100
+            {"n_values": 100},
+            {"p_values": "0.3"},
+            {"epsilon_values": None},
         ],
     )
     def test_config_validation(self, kwargs):
