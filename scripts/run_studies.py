@@ -16,6 +16,7 @@ import sys
 import time
 
 from dpbayes import SweepConfig, run_sweep, write_csv
+from dpbayes.simulation import _check_out_path
 
 
 def main(argv=None) -> int:
@@ -28,10 +29,11 @@ def main(argv=None) -> int:
                         help="CSV output path (default: %(default)s)")
     args = parser.parse_args(argv)
 
-    # As in `dpbayes sweep`, bad settings exit 2 before anything is printed or
-    # written, and an unwritable --out exits 2 once the sweep has run.
+    # As in `dpbayes sweep`, bad settings and an --out that cannot be written
+    # exit 2 before the sweep runs or anything is printed or written.
     try:
         config = SweepConfig(runs=args.runs, seed=args.seed)
+        _check_out_path(args.out)
         total = len(config.n_values) * len(config.p_values) * len(config.epsilon_values)
         print(f"running {total} cells at {config.runs} runs each (seed {config.seed})")
         start = time.time()

@@ -18,9 +18,10 @@ mean)`` per count, in ``O(w)``, kept at the count's own index; then a
 response costs ``O(1)``.  A row's bits depend on its block alone, and only
 the pages of the blocks that responses touch take memory.  The sums carry
 ``epsilon*k``, so ``epsilon*n`` above 2**33 is refused.  One response reads
-its row by index, a batch by ``take``; both mix rows in :func:`_mix`, whose
-numpy ``exp`` keeps them bitwise equal (``math.exp`` differed from it at
-18 132 of 400 000 arguments on an AVX-512 machine).
+its row by index as Python floats, a batch by ``take``; both mix rows in
+:func:`_mix`, which clamps floats with the builtin ``min``/``max`` and arrays
+with numpy's, and whose numpy ``exp`` keeps them bitwise equal (``math.exp``
+differed from it at 18 132 of 400 000 arguments on an AVX-512 machine).
 """
 
 from __future__ import annotations
@@ -174,21 +175,28 @@ def _add_rows(mass, epsilon: float, store: tuple, block) -> None:
 
 
 def _mix(d, left, right, y, epsilon: float, n: int):
-    """Posterior means, elementwise, from rows ``(d, left mean, right mean)`` at ``y`` in ``[-1, n]``."""
+    """Posterior means, elementwise, from rows ``(d, left mean, right mean)`` at ``y`` in ``[-1, n]``.
+
+    Python floats clamp with the builtin ``min``/``max``, a sixth of a ufunc
+    call's cost, arrays with numpy's.  Each returns one of its arguments, a NaN
+    value too, so the bits agree but for a signed zero, which no mean is.
+    Both take numpy's ``exp``.
+    """
+    smaller, larger = (min, max) if isinstance(d, float) else (np.minimum, np.maximum)
     x = d - 2.0 * epsilon * y  # log-odds of the mass left of y against the right
     # The right share 1/(1 + e^x) keeps its relative accuracy however small
     # it is; past x = 709, where e^x would overflow, it is below 2**-1022.
-    share = 1.0 / (1.0 + np.exp(np.minimum(x, 709.0)))
+    share = 1.0 / (1.0 + np.exp(smaller(x, 709.0)))
     # Means of counts in [0, n] can only leave the range by rounding.
-    return np.minimum(np.maximum(left + share * (right - left), 0.0), float(n))
+    return smaller(larger(left + share * (right - left), 0.0), float(n))
 
 
 def bayes_estimate(prior: BinomialPrior, level: PrivacyLevel, y: float) -> float:
     """Posterior-mean estimate of the true count; always inside ``[0, n]``.
 
     Continuous and nondecreasing in ``y``.  Degenerate priors pin it to
-    their point mass whatever the response says.  Reads one row and mixes it
-    with the batch's numpy ``_mix``, never ``math.exp``: bitwise the batch's.
+    their point mass whatever the response says.  Reads one row as Python
+    floats and mixes it in the batch's ``_mix``: bitwise the batch's.
 
     Raises:
         ValueError: if ``y`` is not finite or ``epsilon * n`` exceeds 2**33.
@@ -198,7 +206,7 @@ def bayes_estimate(prior: BinomialPrior, level: PrivacyLevel, y: float) -> float
     start = math.floor(value) + 1
     if not built[start // width]:
         _add_rows(log_mass_vector(prior), level.epsilon, store, np.array([start // width]))
-    mean = _mix(*rows[start], value, level.epsilon, prior.n)
+    mean = _mix(*rows[start].tolist(), value, level.epsilon, prior.n)
     if mean != mean:
         raise FloatingPointError("posterior normalisation degenerated at row 0")
     return float(mean)

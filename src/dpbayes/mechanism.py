@@ -114,13 +114,16 @@ def _check_integer(value, what: str, minimum: int | None = None) -> int:
 
     Refuses bools (an int subclass: True would pass as 1), non-integral values
     (``int()`` truncates 1.7 to 1), None, NaN, infinities and values below ``minimum``.
+    An exact ``int`` skips the conversion.
     """
-    try:
-        number = int(value)
-    except (TypeError, ValueError, OverflowError):
-        number = None
-    if isinstance(value, (bool, np.bool_)) or number is None or number != value:
-        raise ValueError(f"{what} must be an integer, got {value!r}")
+    number = value
+    if type(value) is not int:
+        try:
+            number = int(value)
+        except (TypeError, ValueError, OverflowError):
+            number = None
+        if isinstance(value, (bool, np.bool_)) or number is None or number != value:
+            raise ValueError(f"{what} must be an integer, got {value!r}")
     if minimum is not None and number < minimum:
         raise ValueError(f"{what} must be an integer of at least {minimum}, got {value!r}")
     return number
@@ -130,8 +133,11 @@ def _check_real(value, what: str) -> float:
     """The package's one real-number check at its edges.
 
     Refuses NaN, infinities, bools, strings and reals beyond the float
-    range, such as the int ``10**400``.
+    range, such as the int ``10**400``.  A finite exact ``float`` returns at
+    once, without the ``numbers.Real`` check, which costs more than the rest.
     """
+    if type(value) is float and math.isfinite(value):
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{what} must be a real number, got {value!r}")
     try:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 import threading
@@ -264,14 +265,24 @@ class TestEpsilonNBound:
 class TestBatch:
     @pytest.mark.parametrize("n", [100, 1024, 20_000, 10**6])
     def test_matches_scalar_bitwise(self, n):
-        # Responses across the whole range, and a run through the blocks
-        # around the prior mean.
-        prior = BinomialPrior(n=n, p=0.3)
-        level = calibrate(0.1)
-        ys = np.concatenate([np.linspace(-40.0, n + 40.0, 500), 0.3 * n + np.arange(-30.0, 30.0, 0.3)])
-        batch = bayes_estimate_batch(prior, level, ys)
-        scalar = np.array([bayes_estimate(prior, level, y) for y in ys])
-        assert np.array_equal(batch, scalar)
+        # Responses across the whole range, a run through the blocks around
+        # the prior mean, and responses beyond [0, n] out to 1e9, whose
+        # log-odds the mix clamps at 709.  The scalar path takes Python
+        # floats, as a query passes them, and returns Python floats; bytes are
+        # compared, so a -0.0 cannot pass for 0.0.
+        beyond = [-1e9, -1e6, -1e3, -1.5, n + 0.5, n + 1e3, n + 1e6, 1e9]
+        ps, epsilons = (0.0, 0.02, 0.3, 0.98, 1.0), (0.05, 0.1, 2.0, 50.0)
+        # At n = 10**6 a cold (p, epsilon) costs 0.1-0.4 s, so there each p
+        # and each epsilon is taken once rather than in every pairing.
+        pairs = itertools.product(ps, epsilons) if n < 10**6 else zip(ps, (2.0, 50.0, 0.1, 0.05, 2.0))
+        for p, epsilon in pairs:
+            prior, level = BinomialPrior(n=n, p=p), calibrate(epsilon)
+            ys = np.concatenate([np.linspace(-40.0, n + 40.0, 500),
+                                 p * n + np.arange(-30.0, 30.0, 0.3), beyond])
+            batch = bayes_estimate_batch(prior, level, ys)
+            scalar = [bayes_estimate(prior, level, y) for y in ys.tolist()]
+            assert {type(value) for value in scalar} == {float}
+            assert np.array(scalar).tobytes() == batch.tobytes()
 
     @pytest.mark.parametrize("n", [50, 10_000])
     def test_batching_is_invisible(self, n):
@@ -315,7 +326,7 @@ class TestBatch:
     def test_degenerate_row_in_a_later_level_names_its_run(self):
         # Run r's response -0.5 + r reads row r.  A NaN row in the second
         # level's store fails the stacked pass at that level's run, as it
-        # fails that level's own batch.
+        # fails that level's own batch and a single response that reads it.
         prior = BinomialPrior(n=37, p=0.3)
         levels = [calibrate(eps) for eps in (0.5, 1.0, 2.0)]
         ys = np.tile(np.arange(-0.5, 37.0), (3, 1))
@@ -328,6 +339,8 @@ class TestBatch:
                 estimators_module._posterior_means(prior, levels, ys, out)
             with pytest.raises(FloatingPointError, match="at row 5$"):
                 bayes_estimate_batch(prior, levels[1], ys[1])
+            with pytest.raises(FloatingPointError, match="degenerated"):
+                bayes_estimate(prior, levels[1], 4.5)
             assert np.array_equal(out[0], bayes_estimate_batch(prior, levels[0], ys[0]))
         finally:
             estimators_module._block_tables.cache_clear()

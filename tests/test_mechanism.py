@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +24,7 @@ from dpbayes import (
     posterior,
     sample_noise,
 )
-from dpbayes.mechanism import _laplace_quantile, _laplace_quantiles
+from dpbayes.mechanism import _check_integer, _check_real, _laplace_quantile, _laplace_quantiles
 
 
 class StubStream:
@@ -135,6 +136,60 @@ class TestRealCheck:
         # int(None) raises TypeError, which used to escape the integer check.
         with pytest.raises(ValueError, match="must be an? (integer|real number)"):
             call()
+
+
+class FloatSubclass(float):
+    pass
+
+
+class IntSubclass(int):
+    pass
+
+
+REAL = "must be a real number, got"
+FINITE = "must be a finite real number"
+INTEGER = "must be an integer, got"
+
+
+class TestEdgeChecks:
+    # Each input's result from the real check and from the integer check at
+    # minimum 0: a value, compared by type and repr, or a ValueError's message.
+    @pytest.mark.parametrize(
+        "value, real, integer",
+        [
+            (True, REAL, INTEGER),
+            (np.bool_(False), REAL, INTEGER),
+            (np.float64(np.inf), FINITE, INTEGER),
+            (np.float64(np.nan), FINITE, INTEGER),
+            (np.float64(2.0), 2.0, 2),
+            (FloatSubclass(2.5), 2.5, INTEGER),
+            (FloatSubclass(math.inf), FINITE, INTEGER),
+            (IntSubclass(3), 3.0, 3),
+            (IntSubclass(-1), -1.0, "of at least 0"),
+            (10**400, "within the float range", 10**400),
+            ("1", REAL, INTEGER),
+            (None, REAL, INTEGER),
+            (Fraction(3, 2), 1.5, INTEGER),
+            (Fraction(4, 2), 2.0, 2),
+            (Decimal("2"), REAL, 2),
+            (-0.0, -0.0, 0),
+            (7, 7.0, 7),
+            (-7, -7.0, "of at least 0"),
+            (math.nan, FINITE, INTEGER),
+        ],
+        ids=["true", "numpy-bool", "numpy-inf", "numpy-nan", "numpy-float", "float-subclass",
+             "float-subclass-inf", "int-subclass", "int-subclass-negative", "int-beyond-float",
+             "string", "none", "fraction", "integral-fraction", "decimal", "negative-zero", "int",
+             "negative-int", "nan"],
+    )
+    def test_results_and_errors(self, value, real, integer):
+        for check, want in ((_check_real, real), (lambda v, what: _check_integer(v, what, 0), integer)):
+            if isinstance(want, str):
+                with pytest.raises(ValueError, match=want):
+                    check(value, "x")
+            else:
+                got = check(value, "x")
+                assert (type(got), repr(got)) == (type(want), repr(want))
 
 
 class TestLaplaceDensity:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from dpbayes.simulation import CSV_HEADER
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_studies.py"
@@ -37,10 +39,14 @@ def test_bad_settings_exit_2_before_any_output(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_unwritable_out_exits_2_with_one_error_line(tmp_path, capsys):
+def test_unwritable_out_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch):
+    # The path is checked before the sweep runs, and nothing is created.
     out = tmp_path / "missing" / "sweep.csv"
-    assert load_script().main(["--runs", "20", "--out", str(out)]) == 2
+    script = load_script()
+    monkeypatch.setattr(script, "run_sweep", lambda config: pytest.fail("sweep ran"))
+    assert script.main(["--runs", "20", "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
     assert "Traceback" not in captured.err
-    assert not out.exists()
+    assert captured.out == ""
+    assert sorted(tmp_path.iterdir()) == []
