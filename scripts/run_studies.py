@@ -16,7 +16,7 @@ import sys
 import time
 
 from dpbayes import SweepConfig, run_sweep, write_csv
-from dpbayes.simulation import _check_out_path
+from dpbayes.cli import check_out_path
 
 
 def main(argv=None) -> int:
@@ -33,7 +33,7 @@ def main(argv=None) -> int:
     # exit 2 before the sweep runs or anything is printed or written.
     try:
         config = SweepConfig(runs=args.runs, seed=args.seed)
-        _check_out_path(args.out)
+        check_out_path(args.out)
         total = len(config.n_values) * len(config.p_values) * len(config.epsilon_values)
         print(f"running {total} cells at {config.runs} runs each (seed {config.seed})")
         start = time.time()

@@ -7,9 +7,9 @@ predicate, missing or malformed data file), 1 on runtime failures.
 from __future__ import annotations
 
 import argparse
-import codecs
 import dataclasses
 import json
+import os
 import sys
 
 import numpy as np
@@ -18,7 +18,7 @@ from .estimators import _check_epsilon_n, bayes_estimate
 from .mechanism import PrivacyLevel, out_of_range_bounds, out_of_range_probability
 from .prior import BinomialPrior, uncertainty_widths
 from .querydb import Predicate, load_records, noisy_count_query, public_answer
-from .simulation import SweepConfig, _check_out_path, _check_seed, run_sweep, write_csv
+from .simulation import SweepConfig, _check_seed, run_sweep, write_csv
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,7 +75,7 @@ def cmd_sweep(args) -> int:
     given = {key: getattr(args, key) for key in names if getattr(args, key) is not None}
     config = SweepConfig(**given)
     if args.out is not None:
-        _check_out_path(args.out)
+        check_out_path(args.out)
     cells = run_sweep(config)
     if args.out is not None:
         with open(args.out, "w", newline="") as stream:
@@ -83,6 +83,24 @@ def cmd_sweep(args) -> int:
     else:
         write_csv(cells, sys.stdout)
     return 0
+
+
+def check_out_path(path) -> None:
+    """Raise ``OSError`` if ``path`` cannot be opened to write a file; creates nothing.
+
+    An existing path must be a writable non-directory, such as a file or
+    ``/dev/null``; a new one needs a writable directory.  ``dpbayes sweep``
+    and ``scripts/run_studies.py`` check ``--out`` before the sweep, so a bad
+    path fails at once and a failed sweep leaves no empty file.
+    """
+    if os.path.exists(path):
+        writable = not os.path.isdir(path) and os.access(path, os.W_OK)
+    else:
+        directory = os.path.dirname(path) or os.curdir
+        writable = os.path.isdir(directory) and os.access(directory, os.W_OK)
+    if not writable:
+        raise OSError(f"cannot write {path!r}: "
+                      "not a writable file or a new name in a writable directory")
 
 
 def cmd_query(args) -> int:
@@ -97,8 +115,12 @@ def cmd_query(args) -> int:
         prior = BinomialPrior(n=args.n_known, p=args.p)
         _check_epsilon_n(prior.n, level.epsilon)
     seed = None if args.seed is None else _check_seed(args.seed)
-    with open(args.data, "rb") as stream:
-        db = load_records(_utf8_lines(stream))
+    # Lines are split in latin-1, one character per byte, and each is decoded
+    # alone (a text stream decodes 8 KB ahead), so a decode error names its
+    # row; utf-8-sig skips a spreadsheet's byte-order mark.
+    with open(args.data, newline="", encoding="latin-1") as stream:
+        db = load_records(line.encode("latin-1").decode("utf-8" if row else "utf-8-sig")
+                          for row, line in enumerate(stream))
     if seed is not None:
         print(
             "warning: this seeded release is reproducible; "
@@ -111,26 +133,6 @@ def cmd_query(args) -> int:
         corrected = bayes_estimate(prior, level, result.noisy_value)
         print(json.dumps({"bayes_estimate": corrected, "n": prior.n, "p": prior.p}))
     return 0
-
-
-def _utf8_lines(stream):
-    r"""The decoded lines of a binary UTF-8 stream, endings kept, past any byte-order mark.
-
-    64 KB blocks are split at ``\n``, ``\r`` and ``\r\n`` alone, as a text
-    stream with ``newline=""`` splits; a block's last line waits for the next
-    block with a line break, which may complete its ``\r\n``, so a long line is
-    joined once.  Lines are decoded one by one (a text stream decodes 8 KB
-    ahead), so a decode error names its row.
-    """
-    head = stream.read(len(codecs.BOM_UTF8))
-    pending = [] if head == codecs.BOM_UTF8 else [head]
-    for block in iter(lambda: stream.read(1 << 16), b""):
-        pending.append(block)
-        if b"\n" in block or b"\r" in block:
-            *lines, last = b"".join(pending).splitlines(keepends=True)
-            pending = [last]
-            yield from map(bytes.decode, lines)
-    yield from map(bytes.decode, b"".join(pending).splitlines(keepends=True))
 
 
 def cmd_analyze(args) -> int:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import csv
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,13 +172,3 @@ def write_csv(cells, stream) -> None:
     writer.writerow(CSV_HEADER)
     for cell in cells:
         writer.writerow([getattr(cell, name) for name in CSV_HEADER])
-
-
-def _check_out_path(path) -> None:
-    """Raise ``OSError`` if ``path`` cannot be written as a file, creating nothing.
-
-    Checked before a sweep, so a bad path fails at once and leaves no empty file.
-    """
-    directory = os.path.dirname(path) or os.curdir
-    if os.path.isdir(path) or not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
-        raise OSError(f"cannot write {path!r}: not a file name in a writable directory")
