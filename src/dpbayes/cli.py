@@ -89,15 +89,16 @@ def check_out_path(path) -> None:
     """Raise ``OSError`` if ``path`` cannot be opened to write a file; creates nothing.
 
     An existing path must be a writable non-directory, such as a file or
-    ``/dev/null``; a new one needs a writable directory.  ``dpbayes sweep``
-    and ``scripts/run_studies.py`` check ``--out`` before the sweep, so a bad
-    path fails at once and a failed sweep leaves no empty file.
+    ``/dev/null``; a new one needs a writable directory, and an empty one
+    names no file.  ``dpbayes sweep`` and ``scripts/run_studies.py`` check
+    ``--out`` before the sweep, so a bad path fails at once and a failed
+    sweep leaves no empty file.
     """
     if os.path.exists(path):
         writable = not os.path.isdir(path) and os.access(path, os.W_OK)
     else:
         directory = os.path.dirname(path) or os.curdir
-        writable = os.path.isdir(directory) and os.access(directory, os.W_OK)
+        writable = path != "" and os.path.isdir(directory) and os.access(directory, os.W_OK)
     if not writable:
         raise OSError(f"cannot write {path!r}: "
                       "not a writable file or a new name in a writable directory")

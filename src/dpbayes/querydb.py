@@ -117,8 +117,11 @@ def load_records(source) -> RecordSet:
     Raises:
         ValueError: naming the offending row, on a missing or empty header,
             a field named twice in the header, a row whose field count
-            differs from the header's, or a ``UnicodeDecodeError`` from the
-            source (exact if it decodes line by line: a text stream reads ahead).
+            differs from the header's, a ``UnicodeDecodeError`` from the
+            source (exact if it decodes line by line: a text stream reads
+            ahead), or a ``csv.Error``: a field longer than
+            ``csv.field_size_limit()`` (131 072 characters unless raised), or
+            a NUL byte on Python 3.10.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
@@ -138,6 +141,8 @@ def load_records(source) -> RecordSet:
         db._counts = _tally(pair for block in blocks for pair in zip(header, zip(*block)))
     except UnicodeDecodeError as exc:
         raise ValueError(f"row {reader.line_num + 1}: {exc}") from None
+    except csv.Error as exc:  # raised after the reader counts the line
+        raise ValueError(f"row {reader.line_num}: {exc}") from None
     db._size = db._counts.get(header[0], (0,))[0]  # every row holds every field
     return db
 

@@ -13,9 +13,9 @@ counter-based, so the rows for R runs are the first R rows for any larger R.
 
 A prior's levels are scored in one array pass over a ``(2, levels, runs)``
 block of raw and corrected errors: one posterior-kernel call, then one mean,
-one standard deviation and two counts along rows, each reduced as it would be
-alone, so a cell's bits do not depend on its neighbours.  A pass holds at most
-2**16 responses, so at 10**5 runs the levels go one at a time.
+one standard deviation and one count of wins along rows, each reduced as it
+would be alone, so a cell's bits do not depend on its neighbours.  A pass
+holds at most 2**16 responses, so at 10**5 runs the levels go one at a time.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,12 +35,6 @@ __all__ = ["CSV_HEADER", "SweepConfig", "CellResult", "run_sweep", "write_csv"]
 
 # Responses per scoring pass, across a prior's levels (see the module docstring).
 _PASS_RESPONSES = 2**16
-
-CSV_HEADER = (
-    "n", "p", "epsilon", "noise_std", "avg_err_naive", "avg_err_naive_analytic",
-    "avg_err_bayes", "prob_bayes_better", "se_naive", "se_bayes", "runs", "seed",
-)
-
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -73,12 +68,10 @@ def _check_seed(seed) -> int:
     return number
 
 
-@dataclass(frozen=True)
-class CellResult:
-    """Aggregated error metrics for one (n, p, epsilon) grid cell.
+class CellResult(NamedTuple):
+    """Aggregated error metrics for one (n, p, epsilon) grid cell: its CSV row, in order.
 
-    ``prob_bayes_better`` counts strict wins only; the ``ties`` runs count
-    for neither side.
+    ``prob_bayes_better`` counts strict wins only; a tie counts for neither side.
     """
 
     n: int
@@ -91,9 +84,11 @@ class CellResult:
     prob_bayes_better: float
     se_naive: float
     se_bayes: float
-    ties: int
     runs: int
     seed: int
+
+
+CSV_HEADER = CellResult._fields
 
 
 def _draw_runs(runs: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -117,7 +112,6 @@ def _score_cells(prior: BinomialPrior, levels, counts, unit_noise, seed: int) ->
     spread = errors.std(axis=-1, ddof=1) if runs > 1 else np.full(errors.shape[:2], np.nan)
     se = (spread / math.sqrt(runs)).tolist()
     wins = (errors[1] < errors[0]).sum(axis=-1).tolist()
-    ties = (errors[1] == errors[0]).sum(axis=-1).tolist()
     return [
         CellResult(
             n=prior.n,
@@ -130,7 +124,6 @@ def _score_cells(prior: BinomialPrior, levels, counts, unit_noise, seed: int) ->
             prob_bayes_better=wins[i] / runs,
             se_naive=se[0][i],
             se_bayes=se[1][i],
-            ties=ties[i],
             runs=runs,
             seed=seed,
         )
@@ -163,12 +156,11 @@ def run_sweep(config: SweepConfig) -> tuple[CellResult, ...]:
 
 
 def write_csv(cells, stream) -> None:
-    """Emit one row per cell: the :data:`CSV_HEADER` attributes of the cell, in order.
+    """Emit the :data:`CSV_HEADER` line, then one row per cell: the cell itself.
 
     Floats are written with shortest round-trip precision and the line
     terminator is pinned, so equal results serialise to equal bytes.
     """
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for cell in cells:
-        writer.writerow([getattr(cell, name) for name in CSV_HEADER])
+    writer.writerows(cells)

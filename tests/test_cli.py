@@ -156,6 +156,15 @@ class TestSweep:
         assert err.startswith("error: cannot write")
         assert sorted(tmp_path.iterdir()) == []
 
+    def test_empty_out_is_usage_error_before_the_sweep(self, capsys, monkeypatch, tmp_path):
+        # "" does not exist and its dirname falls back to the current directory.
+        monkeypatch.setattr(cli_module, "run_sweep", lambda config: pytest.fail("sweep ran"))
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "sweep", "--runs", "50", "--out", "")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot write ''")
+        assert sorted(tmp_path.iterdir()) == []
+
     def test_out_may_be_dev_null(self, capsys, monkeypatch):
         # /dev/null sits in a directory that only root may write.
         monkeypatch.setattr(cli_module, "run_sweep", lambda config: ())
@@ -399,6 +408,33 @@ class TestQueryReleasePath:
         )
         assert (code, out, calls) == (2, "", [])
         assert err.startswith("error: row 5002: 'utf-8' codec")
+
+    def test_oversized_field_names_its_row_and_releases_nothing(self, capsys, tmp_path,
+                                                                 monkeypatch):
+        # csv's default field limit is 131 072 characters; the limit is not raised.
+        path = tmp_path / "wide.csv"
+        path.write_text("city\nRome\n" + "x" * 200_000 + "\nRome\n")
+        calls = []
+        monkeypatch.setattr(cli_module, "noisy_count_query", lambda *args: calls.append(args))
+        code, out, err = run_cli(
+            capsys, "query", "--data", str(path), "--where", "city equals Rome", "--eps", "0.1"
+        )
+        assert (code, out, calls) == (2, "", [])
+        assert err.startswith("error: row 3: field larger than field limit")
+
+    def test_nul_byte_is_never_a_runtime_failure(self, capsys, tmp_path):
+        # Python 3.10's csv refuses the byte (exit 2, naming row 3); later ones read it.
+        path = tmp_path / "nul.csv"
+        path.write_text("city\nRome\nRo\x00me\nRome\n")
+        code, out, err = run_cli(
+            capsys, "query", "--data", str(path), "--where", "city equals Rome", "--eps", "0.1"
+        )
+        assert code in (0, 2), err
+        if code == 2:
+            assert out == ""
+            assert err.startswith("error: row 3: ")
+        else:
+            assert list(json.loads(out)) == ["noisy_value", "epsilon"]
 
     def test_p_without_n_known_releases_nothing(self, capsys, tmp_path, monkeypatch):
         # Every row matches, so a size read from the table would be the true count.

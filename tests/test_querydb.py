@@ -120,6 +120,24 @@ class TestLoadRecords:
         with pytest.raises(ValueError, match=f"^row {bad_row}: 'utf-8' codec"):
             load_records(line.decode() for line in lines)
 
+    @pytest.mark.parametrize("bad_row", [2, 3, 4097, 5002])
+    def test_oversized_field_names_row(self, bad_row):
+        # The process-wide limit stays at csv's default, and the error names its row.
+        lines = ["city\n"] + ["Rome\n"] * 5001
+        lines[bad_row - 1] = "x" * (csv.field_size_limit() + 1) + "\n"
+        with pytest.raises(ValueError, match=f"^row {bad_row}: field larger than field limit"):
+            load_records(iter(lines))
+        assert csv.field_size_limit() == 131_072
+
+    def test_nul_byte_is_read_or_named_by_row(self):
+        # Python 3.10's csv refuses a NUL byte; 3.11 and later read it as a character.
+        try:
+            db = load_records("city\nRome\nRo\x00me\n")
+        except ValueError as exc:
+            assert str(exc).startswith("row 3: ")
+        else:
+            assert count_query(db, Predicate("city", "equals", ("Ro\x00me",))) == 1
+
 
 class TestPredicate:
     def test_parse_equals(self):

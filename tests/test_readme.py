@@ -14,6 +14,7 @@ import pytest
 
 from dpbayes import SweepConfig, run_sweep, write_csv
 from dpbayes.cli import main
+from dpbayes.simulation import CSV_HEADER
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -54,6 +55,11 @@ def test_readme_library_block_runs(tmp_path, monkeypatch):
     write_people(tmp_path)
     monkeypatch.chdir(tmp_path)
     exec(compile(readme_block("Library", "python"), str(README), "exec"), {})
+
+
+def test_readme_csv_schema_is_the_header():
+    # CSV_HEADER is CellResult's fields, so README's block is what pins the columns.
+    assert readme_block("CSV schema", "").strip() == ",".join(CSV_HEADER)
 
 
 @pytest.mark.skipif(

@@ -50,3 +50,15 @@ def test_unwritable_out_exits_2_with_one_error_line(tmp_path, capsys, monkeypatc
     assert "Traceback" not in captured.err
     assert captured.out == ""
     assert sorted(tmp_path.iterdir()) == []
+
+
+def test_empty_out_exits_2_before_the_sweep(tmp_path, capsys, monkeypatch):
+    # "" does not exist and its dirname falls back to the current directory.
+    monkeypatch.chdir(tmp_path)
+    script = load_script()
+    monkeypatch.setattr(script, "run_sweep", lambda config: pytest.fail("sweep ran"))
+    assert script.main(["--runs", "20", "--out", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write ''")
+    assert captured.out == ""
+    assert sorted(tmp_path.iterdir()) == []

@@ -21,7 +21,9 @@ from dpbayes import (
     write_csv,
 )
 from dpbayes.prior import _quantiles
-from dpbayes.simulation import CSV_HEADER
+from dpbayes.simulation import CSV_HEADER, _draw_runs
+
+from conftest import ACCEPTANCE_SEED, GRID_EPSILONS, GRID_N_VALUES, HEAVY_RUNS
 from vmhwm import peak_growth_mb
 
 
@@ -445,20 +447,37 @@ class TestWriteCsv:
         result = self.make_result()
         buffer = io.StringIO()
         write_csv(result, buffer)
-        row = buffer.getvalue().splitlines()[1].split(",")
+        lines = buffer.getvalue().splitlines()
+        row = lines[1].split(",")
         cell = result[0]
         assert int(row[0]) == cell.n
         assert float(row[4]) == cell.avg_err_naive
         assert float(row[7]) == cell.prob_bayes_better
         assert int(row[10]) == cell.runs
         assert int(row[11]) == cell.seed
+        # A data line is its cell, each value in its shortest round-trip form.
+        assert lines[1:] == [",".join(map(str, cell)) for cell in result]
 
 
 class TestHeavyGridShape:
     """Statistical shape of the heavy grids (session-scoped fixtures)."""
 
     def test_no_ties_at_scale(self, reference_grid_cells):
-        assert all(cell.ties == 0 for cell in reference_grid_cells.values())
+        # Recompute each cell's runs from the row rule: no run is a tie, and
+        # the wins and the mean error are the cell's columns, bit for bit.
+        count_uniforms, unit_noise = _draw_runs(HEAVY_RUNS, ACCEPTANCE_SEED)
+        for n in GRID_N_VALUES:
+            prior = BinomialPrior(n=n, p=0.3)
+            counts = _quantiles(prior, count_uniforms)
+            for epsilon in GRID_EPSILONS:
+                level = calibrate(epsilon)
+                responses = counts + unit_noise * level.scale_b
+                err_naive = np.abs(responses - counts)
+                err_bayes = np.abs(bayes_estimate_batch(prior, level, responses) - counts)
+                cell = reference_grid_cells[(n, epsilon)]
+                assert int((err_bayes == err_naive).sum()) == 0
+                assert int((err_bayes < err_naive).sum()) / HEAVY_RUNS == cell.prob_bayes_better
+                assert float(err_bayes.mean()) == cell.avg_err_bayes
 
     def test_bayes_error_decreases_with_weaker_privacy(self, reference_grid_cells):
         for n in (100, 1000):
