@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -21,7 +22,12 @@ from .querydb import Predicate, load_records, noisy_count_query, public_answer
 from .simulation import SweepConfig, _check_seed, run_sweep, write_csv
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use; ``main`` only reads it.
+
+    It is constant: its help texts read only ``SweepConfig``'s class defaults.
+    """
     parser = argparse.ArgumentParser(
         prog="dpbayes",
         description="Differentially private counting queries and estimator studies.",

@@ -145,11 +145,16 @@ def run_sweep(config: SweepConfig) -> tuple[CellResult, ...]:
     cells = []
     levels = [PrivacyLevel(epsilon) for epsilon in config.epsilon_values]
     count_uniforms, unit_noise = _draw_runs(config.runs, config.seed)
+    # A count depends on its own uniform alone, so each prior's sums are
+    # searched with ascending keys and the counts scattered back to run order.
+    order = np.argsort(count_uniforms)
+    ascending = count_uniforms[order]
+    counts = np.empty(config.runs)
     group = max(1, _PASS_RESPONSES // config.runs)
     for n in config.n_values:
         for p in config.p_values:
             prior = BinomialPrior(n=n, p=p)
-            counts = _quantiles(prior, count_uniforms)
+            counts[order] = _quantiles(prior, ascending)
             for lo in range(0, len(levels), group):
                 cells += _score_cells(prior, levels[lo : lo + group], counts, unit_noise, config.seed)
     return tuple(cells)

@@ -48,28 +48,45 @@ def decimal_masses(n, p, counts):
 
 
 @lru_cache(maxsize=None)
-def _all_masses(n, p):
-    return decimal_masses(n, p, range(n + 1))
+def _weight_sums(n, p, epsilon):
+    """Running sums of the posterior's weights at one (n, p, epsilon), as 50-digit Decimals.
+
+    ``left[j]`` is ``(sum m_k e^{eps k}, sum k m_k e^{eps k})`` over counts
+    ``k < j`` and ``right[j]`` the same of ``m_k e^{-eps k}`` over ``k >= j``,
+    so each side is a sum of positive terms and no sum is a difference.
+    """
+    with localcontext(_CONTEXT):
+        masses = decimal_masses(n, p, range(n + 1))
+        eps = Decimal(epsilon)
+        step = eps.exp()
+        left, grow = [(Decimal(0), Decimal(0))], Decimal(1)
+        for k in range(n + 1):
+            weight = masses[k] * grow
+            left.append((left[-1][0] + weight, left[-1][1] + k * weight))
+            grow *= step
+        right, shrink = [(Decimal(0), Decimal(0))], (-eps * n).exp()
+        for k in range(n, -1, -1):
+            weight = masses[k] * shrink
+            right.append((right[-1][0] + weight, right[-1][1] + k * weight))
+            shrink *= step
+        return left, right[::-1]
 
 
 def exact_posterior_mean(n, p, epsilon, y):
-    """Posterior mean in 50-digit linear-space arithmetic, independent of the kernel."""
+    """Posterior mean in 50-digit linear-space arithmetic, independent of the kernel.
+
+    ``e^{-eps |y - k|}`` is ``e^{-eps y} e^{eps k}`` at counts ``k <= y`` and
+    ``e^{eps y} e^{-eps k}`` above, so each response reads two cached running
+    sums (``_weight_sums``) and costs O(1) after the first at its (n, p, epsilon).
+    """
     with localcontext(_CONTEXT):
         eps, response = Decimal(epsilon), Decimal(y)
-        step = (-eps).exp()
-        last_left = min(max(math.floor(y), -1), n)  # counts k <= last_left lie at or below y
-        # exp(-eps*|y - k|), stepped outward by factors exp(-eps) from both sides of y.
-        likelihood = [Decimal(0)] * (n + 1)
-        factor = (-eps * (response - last_left)).exp()
-        for k in range(last_left, -1, -1):
-            likelihood[k] = factor
-            factor *= step
-        factor = (-eps * (last_left + 1 - response)).exp()
-        for k in range(last_left + 1, n + 1):
-            likelihood[k] = factor
-            factor *= step
-        weights = [m * f for m, f in zip(_all_masses(n, p), likelihood)]
-        return float(sum(k * w for k, w in enumerate(weights)) / sum(weights))
+        split = min(max(math.floor(y), -1), n) + 1  # counts k < split lie at or below y
+        left, right = _weight_sums(n, p, epsilon)
+        (mass_left, moment_left), (mass_right, moment_right) = left[split], right[split]
+        below, above = (-eps * response).exp(), (eps * response).exp()
+        moment = below * moment_left + above * moment_right
+        return float(moment / (below * mass_left + above * mass_right))
 
 
 def dense_posterior_mean(prior, epsilon, y):

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import dpbayes
 import dpbayes.cli as cli_module
 import dpbayes.querydb as querydb_module
 from dpbayes import sample_noise
@@ -609,3 +612,36 @@ class TestUsage:
 
     def test_unknown_command_is_usage_error(self, capsys):
         assert run_cli(capsys, "frobnicate")[0] == 2
+
+
+class TestParserReuse:
+    """``main`` builds one parser per process and no call leaves state in it."""
+
+    def test_one_parser_per_process(self):
+        assert cli_module.build_parser() is cli_module.build_parser()
+
+    def test_each_call_prints_what_a_fresh_process_prints(self, capsys, monkeypatch, data_file):
+        # Usage lines wrap at the terminal width; pin it for both sides.
+        monkeypatch.setenv("COLUMNS", "80")
+        calls = [
+            ("sweep", "--n", "5", "--p", "0.3", "--eps", "1", "--runs", "3"),
+            # --p must not carry over: the seven default match probabilities.
+            ("sweep", "--n", "5", "--eps", "1", "--runs", "3"),
+            ("sweep", "--n", "5", "--bogus"),
+            ("analyze", "--n", "100", "--eps", "0.1", "--a", "50"),
+            ("query", "--data", data_file, "--where", "city equals Rome", "--eps", "0.5",
+             "--seed", "7", "--p", "0.3", "--n-known", "10"),
+        ]
+        in_process = [run_cli(capsys, *argv) for argv in calls]
+        assert len(in_process[1][1].splitlines()) == 1 + len(SweepConfig.p_values)
+        assert in_process[2][0] == 2
+        src = os.path.dirname(os.path.dirname(dpbayes.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        env = {**os.environ, "PYTHONPATH": path}
+        code = "import sys; from dpbayes.cli import main; sys.exit(main())"
+        children = [subprocess.Popen([sys.executable, "-c", code, *argv], env=env, text=True,
+                                     stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+                    for argv in calls]
+        for argv, got, child in zip(calls, in_process, children):
+            out, err = child.communicate(timeout=60)
+            assert got == (child.returncode, out, err), argv

@@ -24,6 +24,7 @@ from dpbayes.prior import _quantiles
 from dpbayes.simulation import CSV_HEADER, _draw_runs
 
 from conftest import ACCEPTANCE_SEED, GRID_EPSILONS, GRID_N_VALUES, HEAVY_RUNS
+from test_prior import EDGE_UNIFORMS
 from vmhwm import peak_growth_mb
 
 
@@ -334,6 +335,29 @@ class TestRunSweep:
         cells = run_sweep(SweepConfig((100,), (0.3,), epsilons, runs, 7))
         assert seen == passes
         assert cells == tuple(one_cell(100, 0.3, eps, runs, 7) for eps in epsilons)
+
+    def test_sorted_counts_are_scattered_back_to_their_runs(self, monkeypatch):
+        # The sweep inverts its count uniforms in ascending order and scatters
+        # the counts back to run order; every cell equals, bit for bit, the
+        # cell scored from the quantiles of the uniforms in run order, with
+        # repeated uniforms and the edge uniforms among them.
+        rng = np.random.default_rng(23)
+        draws = rng.random(300)
+        uniforms = np.concatenate([EDGE_UNIFORMS, EDGE_UNIFORMS, draws[:40], draws])
+        rng.shuffle(uniforms)
+        runs, seed = uniforms.size, 3
+        _, unit_noise = _draw_runs(runs, seed)
+        monkeypatch.setattr(simulation_module, "_draw_runs",
+                            lambda runs, seed: (uniforms.copy(), unit_noise))
+        config = SweepConfig((1, 30, 1000), (0.0, 0.02, 0.5, 0.98, 1.0), (0.1, 2.0), runs, seed)
+        levels = [calibrate(epsilon) for epsilon in config.epsilon_values]
+        expected = []
+        for n in config.n_values:
+            for p in config.p_values:
+                prior = BinomialPrior(n=n, p=p)
+                counts = _quantiles(prior, uniforms)
+                expected += simulation_module._score_cells(prior, levels, counts, unit_noise, seed)
+        assert list(map(repr, run_sweep(config))) == list(map(repr, expected))
 
     def test_level_passes_keep_the_memory_of_one_level(self):
         # At 10**5 runs a pass holds one level, so six levels peak where one
