@@ -22,13 +22,17 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .estimators import _check_epsilon_n, _posterior_means
-from .mechanism import PrivacyLevel, _check_collection, _check_integer, _laplace_quantiles
+from .mechanism import (
+    _SMALLEST_UNIFORM, PrivacyLevel, _check_collection, _check_integer, _laplace_quantile,
+    _laplace_quantiles,
+)
 from .prior import BinomialPrior, _quantiles
 
 __all__ = ["CSV_HEADER", "SweepConfig", "CellResult", "run_sweep", "write_csv"]
@@ -57,6 +61,13 @@ class SweepConfig:
             object.__setattr__(self, name, tuple(map(check, values)))
         _check_epsilon_n(max(self.n_values), max(self.epsilon_values))
         object.__setattr__(self, "runs", _check_integer(self.runs, "runs", minimum=1))
+        # A raw error is at most the largest noise, so a cell's sums of errors
+        # and of squared deviations stay finite while runs * largest**2 does.
+        epsilon = min(self.epsilon_values)
+        largest = _laplace_quantile(_SMALLEST_UNIFORM, 1.0 / epsilon)
+        if self.runs > sys.float_info.max / (largest * largest):
+            raise ValueError(f"epsilon {epsilon!r} is too small for {self.runs} runs: "
+                             "the sums of squared errors would overflow")
         object.__setattr__(self, "seed", _check_seed(self.seed))
 
 

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
+import dpbayes
 from dpbayes import SweepConfig, run_sweep
 
 # Frozen seed for every statistical assertion in the suite, chosen once and
@@ -17,6 +20,13 @@ HEAVY_RUNS = 100_000
 GRID_N_VALUES = (100, 1000)
 GRID_EPSILONS = (0.05, 0.1, 0.2, 0.5, 1.0)
 SWEEP_P_VALUES = (0.02, 0.1, 0.3, 0.5, 0.7, 0.9, 0.98)
+
+
+def child_env() -> dict:
+    """This environment with the tested package's source first on PYTHONPATH, for a child."""
+    src = os.path.dirname(os.path.dirname(dpbayes.__file__))
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
 
 
 @pytest.fixture(scope="session")

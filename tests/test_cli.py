@@ -9,12 +9,13 @@ import sys
 
 import pytest
 
-import dpbayes
 import dpbayes.cli as cli_module
 import dpbayes.querydb as querydb_module
 from dpbayes import sample_noise
 from dpbayes.cli import main
 from dpbayes.simulation import CSV_HEADER, SweepConfig
+
+from conftest import child_env
 
 DATA = (
     "city,age,plan\n"
@@ -148,6 +149,15 @@ class TestSweep:
         )
         assert (code, out) == (2, "")
         assert "2**33" in err
+
+    def test_epsilon_whose_error_sums_overflow_exits_2_before_the_sweep(self, capsys,
+                                                                      monkeypatch):
+        # At 10**5 runs, epsilon 2e-152 used to write se_naive = inf and exit 0.
+        monkeypatch.setattr(cli_module, "run_sweep", lambda config: pytest.fail("sweep ran"))
+        code, out, err = run_cli(capsys, "sweep", "--n", "100", "--p", "0.3", "--eps", "2e-152")
+        assert (code, out) == (2, "")
+        assert err == ("error: epsilon 2e-152 is too small for 100000 runs: "
+                       "the sums of squared errors would overflow\n")
 
     @pytest.mark.parametrize("target", ["missing/sweep.csv", "."], ids=["missing-dir", "a-dir"])
     def test_unwritable_out_is_usage_error_before_the_sweep(self, capsys, monkeypatch, tmp_path,
@@ -389,6 +399,17 @@ class TestQueryReleasePath:
         assert (code, out, calls) == (2, "", [])
         assert "row 1" in err and "'city'" in err
 
+    def test_empty_header_releases_nothing(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "blank.csv"
+        path.write_text("\ncity\nRome\n")
+        calls = []
+        monkeypatch.setattr(cli_module, "noisy_count_query", lambda *args: calls.append(args))
+        code, out, err = run_cli(
+            capsys, "query", "--data", str(path), "--where", "city equals Rome", "--eps", "0.1"
+        )
+        assert (code, out, calls) == (2, "", [])
+        assert err == "error: row 1: empty header\n"
+
     def test_data_not_in_utf8_releases_nothing(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "latin1.csv"
         path.write_bytes("city\nRome\nS\u00e3o Paulo\n".encode("latin-1"))
@@ -533,6 +554,15 @@ class TestQueryReleasePath:
 
 
 class TestAnalyze:
+    def test_runs_as_a_module(self):
+        child = subprocess.run(
+            [sys.executable, "-m", "dpbayes.cli", "analyze", "--n", "4", "--eps", "1", "--a", "2"],
+            env=child_env(), capture_output=True, text=True, timeout=60,
+        )
+        # exp(-2): half from each side of [0, 4].
+        assert (child.returncode, child.stderr) == (0, "")
+        assert child.stdout == "P(out of range | a=2, n=4, eps=1.0) = 0.1353353\n"
+
     def test_widths_report(self, capsys):
         code, out, _ = run_cli(capsys, "analyze", "--n", "10000", "--eps", "0.1", "--p", "0.3")
         assert code == 0
@@ -635,12 +665,9 @@ class TestParserReuse:
         in_process = [run_cli(capsys, *argv) for argv in calls]
         assert len(in_process[1][1].splitlines()) == 1 + len(SweepConfig.p_values)
         assert in_process[2][0] == 2
-        src = os.path.dirname(os.path.dirname(dpbayes.__file__))
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        env = {**os.environ, "PYTHONPATH": path}
         code = "import sys; from dpbayes.cli import main; sys.exit(main())"
-        children = [subprocess.Popen([sys.executable, "-c", code, *argv], env=env, text=True,
-                                     stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        children = [subprocess.Popen([sys.executable, "-c", code, *argv], env=child_env(),
+                                     text=True, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
                     for argv in calls]
         for argv, got, child in zip(calls, in_process, children):
             out, err = child.communicate(timeout=60)

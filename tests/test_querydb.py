@@ -112,6 +112,12 @@ class TestLoadRecords:
         with pytest.raises(ValueError, match="row 1"):
             load_records("")
 
+    @pytest.mark.parametrize("text", [",,\nRome,1,x\n", "\ncity\nRome\n"],
+                             ids=["empty-names", "blank-first-line"])
+    def test_empty_header(self, text):
+        with pytest.raises(ValueError, match="^row 1: empty header$"):
+            load_records(text)
+
     @pytest.mark.parametrize("bad_row", [1, 2, 4097, 5002])
     def test_decode_error_names_row(self, bad_row):
         # A source that decodes line by line fails on exactly the bad row.
@@ -156,6 +162,11 @@ class TestPredicate:
     def test_parse_rejects_malformed(self, text):
         with pytest.raises(ValueError):
             Predicate.parse(text)
+
+    def test_rejects_an_empty_field(self):
+        # parse cannot produce one, so build it directly.
+        with pytest.raises(ValueError, match="field name must be non-empty"):
+            Predicate(field="", relation="equals", values=("Rome",))
 
     def test_rejects_multi_value_equals(self):
         with pytest.raises(ValueError):

@@ -1,18 +1,17 @@
-"""The README's command-line and library examples run as written."""
+"""The README's command-line and library examples run as written, and print what it records."""
 
 from __future__ import annotations
 
 import hashlib
-import io
 import platform
 import re
 import shlex
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dpbayes import SweepConfig, run_sweep, write_csv
 from dpbayes.cli import main
 from dpbayes.simulation import CSV_HEADER
 
@@ -62,18 +61,43 @@ def test_readme_csv_schema_is_the_header():
     assert readme_block("CSV schema", "").strip() == ",".join(CSV_HEADER)
 
 
-@pytest.mark.skipif(
+def readme_sweep_digests() -> list:
+    """``(name, argv, sha256)`` for each row of the table under "Reproducibility"."""
+    section = README.read_text().split("## Reproducibility", 1)[1]
+    rows = re.findall(r"^ *\| ([\w-]+) \| `dpbayes (sweep[^`]*)` \| `([0-9a-f]{64})` \|$",
+                      section, re.MULTILINE)
+    return [(name, shlex.split(command), digest) for name, command, digest in rows]
+
+
+def test_readme_records_four_sweep_digests():
+    assert [name for name, _, _ in readme_sweep_digests()] == [
+        "default-grid", "seed-0", "seed-31337", "cell-n10k",
+    ]
+
+
+# The posterior means go through numpy's log and exp, so the bytes are pinned
+# only where README says they hold.
+pinned_build = pytest.mark.skipif(
     np.__version__ != "2.4.6" or platform.machine() not in ("x86_64", "AMD64"),
-    reason="README's hashes hold for numpy 2.4.6 on x86-64",
+    reason="README's pinned outputs hold for numpy 2.4.6 on x86-64",
 )
-@pytest.mark.parametrize("seed, digest", [
-    (0, "23680d6067db367f5f19090ab79150bcffde21a58862533b3822200434e64e35"),
-    (31337, "bdad3d1165faccf136c616326e89bb9964d22236d620d99c813404257a187370"),
-], ids=["seed-0", "seed-31337"])
-def test_readme_sweep_hashes(seed, digest):
-    # The posterior means go through numpy's log and exp, so the bytes are
-    # pinned only where README says they hold.
-    buffer = io.StringIO()
-    write_csv(run_sweep(SweepConfig(runs=2000, seed=seed)), buffer)
-    assert hashlib.sha256(buffer.getvalue().encode()).hexdigest() == digest
-    assert f"`{digest[:8]}…{digest[-4:]}`" in README.read_text()
+
+
+@pinned_build
+@pytest.mark.parametrize("argv, digest", [
+    pytest.param(argv, digest, id=name) for name, argv, digest in readme_sweep_digests()
+])
+def test_readme_sweep_hashes(argv, digest, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert main(argv + ["--out", str(out)]) == 0, capsys.readouterr().err
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pinned_build
+def test_readme_seeded_query_lines(tmp_path, monkeypatch, capsys):
+    (tmp_path / "people.csv").write_text("city\nRome\nOslo\nRome\n")
+    monkeypatch.chdir(tmp_path)
+    program, *argv = shlex.split(readme_block("Reproducibility", "sh"))
+    assert (program, argv[0]) == ("dpbayes", "query")
+    assert main(argv) == 0
+    assert capsys.readouterr().out == textwrap.dedent(readme_block("Reproducibility", "text"))

@@ -1,13 +1,18 @@
-"""Smoke test of scripts/run_studies.py on a tiny run count."""
+"""scripts/run_studies.py: a smoke test, its refusals, and the CLI's bytes."""
 
 from __future__ import annotations
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from dpbayes.cli import main
 from dpbayes.simulation import CSV_HEADER
+
+from conftest import child_env
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_studies.py"
 
@@ -62,3 +67,15 @@ def test_empty_out_exits_2_before_the_sweep(tmp_path, capsys, monkeypatch):
     assert captured.err.startswith("error: cannot write ''")
     assert captured.out == ""
     assert sorted(tmp_path.iterdir()) == []
+
+
+def test_script_writes_the_cli_s_bytes(tmp_path):
+    # The script and `dpbayes sweep` share run_sweep and write_csv.
+    script_out, cli_out = tmp_path / "script.csv", tmp_path / "cli.csv"
+    child = subprocess.run(
+        [sys.executable, str(SCRIPT), "--runs", "2000", "--out", str(script_out)],
+        env=child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert (child.returncode, child.stderr) == (0, "")
+    assert main(["sweep", "--runs", "2000", "--out", str(cli_out)]) == 0
+    assert script_out.read_bytes() == cli_out.read_bytes()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from dpbayes import (
     sample_noise,
     write_csv,
 )
+from dpbayes.mechanism import _laplace_quantiles
 from dpbayes.prior import _quantiles
 from dpbayes.simulation import CSV_HEADER, _draw_runs
 
@@ -445,6 +447,55 @@ class TestRunSweep:
         kwargs[key] = (value,) if key == "n_values" else value
         with pytest.raises(ValueError):
             SweepConfig(**kwargs)
+
+
+def refuses_for_overflow(epsilon, runs):
+    try:
+        SweepConfig((100,), (0.3,), (1.0, epsilon), runs, 0)
+    except ValueError as exc:
+        assert f"too small for {runs} runs" in str(exc)
+        return True
+    return False
+
+
+def smallest_accepted_epsilon(runs):
+    """The smallest epsilon ``SweepConfig`` takes at ``runs``: the bound, to the ulp."""
+    epsilon = 52 * math.log(2) * math.sqrt(runs) / math.sqrt(sys.float_info.max)
+    for _ in range(8):
+        if refuses_for_overflow(epsilon, runs):
+            epsilon = math.nextafter(epsilon, math.inf)
+        elif not refuses_for_overflow(math.nextafter(epsilon, 0.0), runs):
+            epsilon = math.nextafter(epsilon, 0.0)
+        else:
+            return epsilon
+    pytest.fail(f"no bound within 8 ulps of {epsilon!r} at {runs} runs")
+
+
+class TestErrorSumBound:
+    """A raw error is at most 52*ln(2)/epsilon, so runs * that squared must be finite."""
+
+    @pytest.mark.parametrize("runs", [1, 4, 2000, 100_000])
+    def test_bound_from_both_sides(self, runs):
+        epsilon = smallest_accepted_epsilon(runs)
+        assert epsilon == pytest.approx(2.688e-153 * math.sqrt(runs), rel=1e-3)
+        assert not refuses_for_overflow(epsilon, runs)
+        assert refuses_for_overflow(math.nextafter(epsilon, 0.0), runs)
+        # The smallest epsilon PrivacyLevel takes is far below this bound.
+        assert refuses_for_overflow(2.1e-307, runs)
+
+    def test_worst_noise_at_the_smallest_epsilon_stays_finite(self, monkeypatch):
+        # Half the runs take the largest noise and half none: the largest
+        # spread the errors can have.  A numpy overflow warning fails the test.
+        runs = 4
+        epsilon = smallest_accepted_epsilon(runs)
+        unit_noise = _laplace_quantiles(np.array([2.0**-53, 0.5] * (runs // 2)))
+        monkeypatch.setattr(simulation_module, "_draw_runs",
+                            lambda runs, seed: (np.full(runs, 0.5), unit_noise))
+        (cell,) = run_sweep(SweepConfig((100,), (0.3,), (epsilon,), runs, 0))
+        largest = 52 * math.log(2) / epsilon
+        assert cell.avg_err_naive == pytest.approx(largest / 2, rel=1e-12)
+        assert cell.se_naive == pytest.approx(largest / (2 * math.sqrt(3)), rel=1e-12)
+        assert math.isfinite(cell.avg_err_bayes) and math.isfinite(cell.se_bayes)
 
 
 class TestWriteCsv:
