@@ -143,29 +143,32 @@ def cmd_query(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    # Every line is built before any is printed, so a usage error prints none.
     level = PrivacyLevel(args.eps)
+    lines = []
     if args.p is not None:
         binomial_width, laplace_width = uncertainty_widths(BinomialPrior(args.n, args.p), level)
-        print(f"binomial 1-sigma interval width: {binomial_width:.4f}")
-        print(f"laplace 1-sigma interval width:  {laplace_width:.4f}")
+        lines.append(f"binomial 1-sigma interval width: {binomial_width:.4f}")
+        lines.append(f"laplace 1-sigma interval width:  {laplace_width:.4f}")
     if args.bounds:
         bounds = out_of_range_bounds(args.n, level)
-        print(
+        lines.append(
             f"max out-of-range probability: {bounds.max_prob:.7f} "
             f"at a in {sorted(bounds.argmax)}"
         )
-        print(
+        lines.append(
             f"min out-of-range probability: {bounds.min_prob:.7g} "
             f"at a in {sorted(bounds.argmin)}"
         )
     if args.a is not None:
         probability = out_of_range_probability(args.a, args.n, level)
-        print(f"P(out of range | a={args.a}, n={args.n}, eps={level.epsilon}) = {probability:.7g}")
+        lines.append(f"P(out of range | a={args.a}, n={args.n}, eps={level.epsilon}) = {probability:.7g}")
     if args.p is None and not args.bounds and args.a is None:
-        # No selector given: print a small table over quartile counts.
-        print("a,out_of_range_probability")
+        # No selector given: a small table over quartile counts.
+        lines.append("a,out_of_range_probability")
         for a in sorted({0, args.n // 4, args.n // 2, (3 * args.n) // 4, args.n}):
-            print(f"{a},{out_of_range_probability(a, args.n, level):.7g}")
+            lines.append(f"{a},{out_of_range_probability(a, args.n, level):.7g}")
+    print("\n".join(lines))
     return 0
 
 

@@ -103,9 +103,12 @@ def _laplace_quantile(u: float, scale_b: float) -> float:
 
 
 def _laplace_quantiles(uniforms: np.ndarray) -> np.ndarray:
-    """:func:`_laplace_quantile` at scale 1 per element, bitwise: same steps, same ``math.log1p``."""
+    """:func:`_laplace_quantile` at scale 1 per element, bitwise: same steps, same ``math.log1p``.
+
+    ``math.log1p`` reads the elements through a memoryview, so no list of them is built.
+    """
     d = np.maximum(uniforms, _SMALLEST_UNIFORM) - 0.5
-    magnitude = np.fromiter(map(math.log1p, (-2.0 * np.abs(d)).tolist()), np.float64, count=d.size)
+    magnitude = np.fromiter(map(math.log1p, memoryview(-2.0 * np.abs(d))), np.float64, count=d.size)
     return -np.sign(d) * magnitude
 
 

@@ -26,6 +26,10 @@ __all__ = [
 # Counts or responses computed at once, here and in estimators, so temporaries stay small.
 _CHUNK_ELEMENTS = 1 << 12
 
+# A log mass at or below this is far under log(2**-1075) ~ -745.13, so its exp is
+# exactly 0.0: _quantiles sums only the counts above it.
+_LOG_MASS_CUTOFF = -800.0
+
 # Stirling remainders ln k! - (k + 1/2) ln k + k - ln(2 pi)/2 at k = 1..15, rounded
 # from 50-digit values; the series in _stirlerr takes over above 15.
 _STIRLERR_TABLE = np.array([
@@ -124,15 +128,25 @@ def _quantiles(prior: BinomialPrior, uniforms: np.ndarray) -> np.ndarray:
     1/2 are inverted on the left cumulative sums of the masses, the rest on
     the right survival sums, ``P(K > k) < 1 - u`` with ``1 - u`` exact, so
     upper-tail masses far below 2**-53 stay reachable.
+
+    Only the counts ``[lo, hi)`` whose log mass exceeds ``_LOG_MASS_CUTOFF``
+    are summed: every mass outside is exactly 0.0, which leaves each
+    sequential partial sum unchanged, and no search lands in those zeros (a
+    left key is below 1/2 of a total near 1, a right key ``1 - u`` is at
+    least 2**-53).  So the counts are those of the sums over all of [0, n],
+    bitwise, at a cost in the prior's support rather than in n.
     """
-    mass = np.exp(log_mass_vector(prior))
+    log_masses = log_mass_vector(prior)
+    carried = (log_masses > _LOG_MASS_CUTOFF).nonzero()[0]
+    lo, hi = int(carried[0]), int(carried[-1]) + 1
+    mass = np.exp(log_masses[lo:hi])
     upper = uniforms >= 0.5
     counts = np.empty(uniforms.shape)
-    counts[~upper] = np.searchsorted(np.cumsum(mass), uniforms[~upper], side="right")
-    # survival[i] = P(K > n - i), nondecreasing in i.
-    survival = np.concatenate([[0.0], np.cumsum(mass[:0:-1])])
+    counts[~upper] = lo + np.searchsorted(np.cumsum(mass), uniforms[~upper], side="right")
+    # survival[i] = P(K > hi - 1 - i), nondecreasing in i; P(K > -1) is not a term.
+    survival = np.concatenate([[0.0], np.cumsum(mass[:0:-1] if lo == 0 else mass[::-1])])
     below = np.searchsorted(survival, 1.0 - uniforms[upper], side="left")
-    counts[upper] = prior.n + 1 - below
+    counts[upper] = hi - below
     return counts
 
 

@@ -119,10 +119,15 @@ def _score_cells(prior: BinomialPrior, levels, counts, unit_noise, seed: int) ->
     _posterior_means(prior, levels, errors[0], errors[1])
     errors -= counts
     np.abs(errors, out=errors)
-    avg = errors.mean(axis=-1).tolist()
-    spread = errors.std(axis=-1, ddof=1) if runs > 1 else np.full(errors.shape[:2], np.nan)
-    se = (spread / math.sqrt(runs)).tolist()
     wins = (errors[1] < errors[0]).sum(axis=-1).tolist()
+    mean = errors.mean(axis=-1, keepdims=True)
+    avg = mean[..., 0].tolist()
+    # np.std's own steps from the mean above, so the same bits; they overwrite
+    # the errors in place, so the wins are counted first.
+    errors -= mean
+    errors *= errors
+    spread = np.sqrt(errors.sum(axis=-1) / (runs - 1)) if runs > 1 else np.full(errors.shape[:2], np.nan)
+    se = (spread / math.sqrt(runs)).tolist()
     return [
         CellResult(
             n=prior.n,

@@ -100,3 +100,20 @@ def dense_posterior_mean(prior, epsilon, y):
     keep = log_w >= top - 60.0
     w = np.exp(log_w[keep] - top)
     return math.fsum(k[keep] * w) / math.fsum(w)
+
+
+def dense_quantiles(prior, uniforms):
+    """Binomial(n, p) quantiles by inversion on sums over all of [0, n].
+
+    The reference for ``prior._quantiles``, which sums only the counts whose
+    mass is a nonzero double and must return these counts bitwise.
+    """
+    mass = np.exp(log_mass_vector(prior))
+    upper = uniforms >= 0.5
+    counts = np.empty(uniforms.shape)
+    counts[~upper] = np.searchsorted(np.cumsum(mass), uniforms[~upper], side="right")
+    # survival[i] = P(K > n - i), nondecreasing in i.
+    survival = np.concatenate([[0.0], np.cumsum(mass[:0:-1])])
+    below = np.searchsorted(survival, 1.0 - uniforms[upper], side="left")
+    counts[upper] = prior.n + 1 - below
+    return counts

@@ -607,6 +607,21 @@ class TestAnalyze:
         code, _, _ = run_cli(capsys, "analyze", "--n", "100", "--eps", "0.1", "--a", "101")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # A bad n under the default table; a bad a after the width
+            # lines, then after the bound lines.
+            ("--n", "0", "--eps", "1"),
+            ("--n", "4", "--eps", "1", "--p", "0.5", "--a", "9"),
+            ("--n", "4", "--eps", "1", "--bounds", "--a", "9"),
+        ],
+    )
+    def test_usage_error_prints_no_report(self, capsys, argv):
+        code, out, err = run_cli(capsys, "analyze", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
 
 class TestUsage:
     def test_no_command_is_usage_error(self, capsys):

@@ -16,8 +16,8 @@ from dpbayes import (
     log_mass_vector,
     uncertainty_widths,
 )
-from dpbayes.prior import _CHUNK_ELEMENTS, _interior_log_masses, _quantiles
-from oracles import decimal_masses
+from dpbayes.prior import _CHUNK_ELEMENTS, _LOG_MASS_CUTOFF, _interior_log_masses, _quantiles
+from oracles import decimal_masses, dense_quantiles
 
 
 class TestValidation:
@@ -229,6 +229,38 @@ class TestSampleTrueCount:
         pooled_exp[-1] += acc_exp
         result = stats.chisquare(pooled_obs, np.array(pooled_exp) * sum(pooled_obs) / sum(pooled_exp))
         assert result.pvalue > 1e-4
+
+
+# Priors whose support window is all, part or one point of [0, n], and
+# whose masses at the ends underflow, are subnormal or round to 1.
+WINDOW_SIZES = (1, 2, 3, 100, 1000, 1023, 1024, 5000, 10_000, 10**6)
+WINDOW_PROBABILITIES = (0.0, 5e-324, 1e-300, 1e-9, 0.02, 0.1, 0.3, 0.5, 0.7, 0.9, 0.98,
+                        1.0 - 1e-9, 1.0 - 2.0**-53, 1.0)
+
+
+@pytest.fixture(scope="module", params=WINDOW_SIZES)
+def window_priors(request):
+    """Every prior of the grid at one n; module scope runs both window tests at an n in turn."""
+    return [BinomialPrior(n=request.param, p=p) for p in WINDOW_PROBABILITIES]
+
+
+class TestSupportWindow:
+    """``_quantiles`` sums only the counts whose mass is a nonzero double."""
+
+    def test_counts_equal_the_full_support_inversion_bitwise(self, window_priors):
+        rng = np.random.default_rng(window_priors[0].n)
+        below_one = 1.0 - 2.0**-53
+        uniforms = np.concatenate([EDGE_UNIFORMS, rng.random(20_000), rng.random(2000) * 1e-12,
+                                   below_one - rng.random(2000) * 1e-12])
+        for prior in window_priors:
+            got = _quantiles(prior, uniforms)
+            assert got.tobytes() == dense_quantiles(prior, uniforms).tobytes(), prior
+
+    def test_masses_at_or_below_the_cutoff_are_zero(self, window_priors):
+        # The window's premise, on this numpy's exp: what it leaves out adds nothing.
+        for prior in window_priors:
+            log_masses = log_mass_vector(prior)
+            assert not np.exp(log_masses[log_masses <= _LOG_MASS_CUTOFF]).any(), prior
 
 
 class TestUncertaintyWidths:
