@@ -17,6 +17,7 @@ import numpy as np
 
 # The smallest positive double uniform; it gives the largest noise, 52*ln(2)/epsilon.
 _SMALLEST_UNIFORM = 2.0**-53
+_UNIFORM_ERROR = "a noise uniform must lie in [0, 1), got {!r}"
 
 __all__ = ["PrivacyLevel", "OutOfRangeBounds", "calibrate", "laplace_density", "sample_noise",
            "out_of_range_probability", "out_of_range_bounds", "dp_ratio_check"]
@@ -82,6 +83,9 @@ def sample_noise(level: PrivacyLevel, rng) -> float:
         level: calibrated privacy level.
         rng: any object with a ``random()`` method returning floats in
             [0, 1); numpy ``Generator`` instances qualify.
+
+    Raises:
+        ValueError: if ``u`` is NaN or at least 1, rather than release its noise.
     """
     return _laplace_quantile(rng.random(), level.scale_b)
 
@@ -91,25 +95,33 @@ def _laplace_quantile(u: float, scale_b: float) -> float:
 
     A ``u`` below 2**-53 reads as 2**-53, whose noise :class:`PrivacyLevel`
     keeps finite; a conditional does it, as ``max()`` adds a sixth to a draw's
-    time.  Single draws take this scalar form: the array form costs over ten
-    times as much on one element, a fifth of a query's time.  Both take
-    ``math.log1p``: numpy's ``log1p`` can differ from it in the last bit,
-    which would change seeded releases.
+    time.  A ``u`` that is NaN or at least 1 has no quantile: ``ValueError``.
+    Single draws take this scalar form: the array form costs over ten times as
+    much on one element, a fifth of a query's time.  Both take numpy's
+    ``log1p``, which a whole array takes in one call.  Python's ``math.log1p``
+    calls the C library's, which glibc on x86-64 resolves at load time to a
+    variant compiled with fused multiply-adds; numpy has no fused multiply-add
+    to reproduce its bits, so the array form cannot take it without a Python
+    call per element.  The two differ by at most 1 ulp.
     """
+    if not u < 1.0:  # NaN fails this too
+        raise ValueError(_UNIFORM_ERROR.format(u))
     d = (u if u > _SMALLEST_UNIFORM else _SMALLEST_UNIFORM) - 0.5
     # (d > 0) - (d < 0) is 0 at d == 0, unlike math.copysign.
     sign = (d > 0.0) - (d < 0.0)
-    return -scale_b * sign * math.log1p(-2.0 * abs(d))
+    return -scale_b * sign * float(np.log1p(-2.0 * abs(d)))
 
 
 def _laplace_quantiles(uniforms: np.ndarray) -> np.ndarray:
-    """:func:`_laplace_quantile` at scale 1 per element, bitwise: same steps, same ``math.log1p``.
+    """:func:`_laplace_quantile` at scale 1 per element, bitwise: same steps, same ``np.log1p``.
 
-    ``math.log1p`` reads the elements through a memoryview, so no list of them is built.
+    A uniform that is NaN or at least 1 is refused with the scalar form's ``ValueError``.
     """
+    refused = ~(uniforms < 1.0)
+    if refused.any():
+        raise ValueError(_UNIFORM_ERROR.format(uniforms[refused][0].item()))
     d = np.maximum(uniforms, _SMALLEST_UNIFORM) - 0.5
-    magnitude = np.fromiter(map(math.log1p, memoryview(-2.0 * np.abs(d))), np.float64, count=d.size)
-    return -np.sign(d) * magnitude
+    return -np.sign(d) * np.log1p(-2.0 * np.abs(d))
 
 
 def _check_integer(value, what: str, minimum: int | None = None) -> int:

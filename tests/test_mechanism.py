@@ -268,9 +268,38 @@ class TestSampleNoise:
             released = a + smallest
             assert (a + 1) + smallest > released
 
+    @pytest.mark.parametrize("u", [math.nan, 1.0, 1.5])
+    def test_uniform_without_a_quantile_is_refused_by_both_forms(self, u):
+        # A faulty stream releases nothing: were NaN read as 2**-53, it would
+        # release the largest negative noise.  Both forms say the same.
+        message = rf"^a noise uniform must lie in \[0, 1\), got {u!r}$"
+        with pytest.raises(ValueError, match=message):
+            sample_noise(calibrate(0.1), StubStream([u]))
+        with pytest.raises(ValueError, match=message):
+            _laplace_quantiles(np.array([0.25, u, 0.75, u]))
+
+    def test_noise_is_within_one_ulp_of_math_log1p(self):
+        # The noise takes numpy's log1p, which may differ from the C library's
+        # (math.log1p) in the last bit; this bounds that change to 1 ulp and to
+        # none at the edges, where +0.0 at the median keeps its sign.
+        edges = [0.0, 2.0**-53, 0.25, 0.5, 0.75, 1.0 - 2.0**-53]
+        uniforms = np.concatenate([edges, np.random.default_rng(33).random(1_000_000)])
+        reference = []
+        for u in uniforms.tolist():
+            d = max(u, 2.0**-53) - 0.5
+            sign = float((d > 0.0) - (d < 0.0))
+            reference.append(-sign * math.log1p(-2.0 * abs(d)))
+        reference = np.array(reference)
+        noise = _laplace_quantiles(uniforms)
+        # Same-sign doubles: their int64 views differ by their distance in ulps.
+        assert np.abs(noise.view(np.int64) - reference.view(np.int64)).max() <= 1
+        assert noise[:len(edges)].tobytes() == reference[:len(edges)].tobytes()
+        assert noise[3] == 0.0 and math.copysign(1.0, noise[3]) == 1.0
+
     def test_array_quantile_equals_scalar_bitwise(self):
         # Among these uniforms numpy's own log1p differs from math.log1p in the
-        # last bit at thousands (x86-64, numpy 2.4), so a switch to it fails here.
+        # last bit at thousands (x86-64, numpy 2.4), so the two forms must take
+        # the same log1p to pass here.
         # The edges are the median, the ends of [0, 1) and uniforms below 2**-53.
         uniforms = np.random.default_rng(2024).random(100_000)
         uniforms[:8] = [0.5, 2.0**-53, 1.0 - 2.0**-53, 0.0, 5e-324, 2.0**-60, 2.0**-55, 2.0**-54]

@@ -6,6 +6,8 @@ import hashlib
 import platform
 import re
 import shlex
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
@@ -14,6 +16,8 @@ import pytest
 
 from dpbayes.cli import main
 from dpbayes.simulation import CSV_HEADER
+
+from conftest import child_env
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -62,21 +66,22 @@ def test_readme_csv_schema_is_the_header():
 
 
 def readme_sweep_digests() -> list:
-    """``(name, argv, sha256)`` for each row of the table under "Reproducibility"."""
+    """``(name, argv, sha256, sha256 without AVX-512)`` per row of README's digest table."""
     section = README.read_text().split("## Reproducibility", 1)[1]
-    rows = re.findall(r"^ *\| ([\w-]+) \| `dpbayes (sweep[^`]*)` \| `([0-9a-f]{64})` \|$",
-                      section, re.MULTILINE)
-    return [(name, shlex.split(command), digest) for name, command, digest in rows]
+    rows = re.findall(
+        r"^ *\| ([\w-]+) \| `dpbayes (sweep[^`]*)` \| `([0-9a-f]{64})` \| `([0-9a-f]{64})` \|$",
+        section, re.MULTILINE)
+    return [(name, shlex.split(command), *digests) for name, command, *digests in rows]
 
 
 def test_readme_records_four_sweep_digests():
-    assert [name for name, _, _ in readme_sweep_digests()] == [
+    assert [name for name, *_ in readme_sweep_digests()] == [
         "default-grid", "seed-0", "seed-31337", "cell-n10k",
     ]
 
 
-# The posterior means go through numpy's log and exp, so the bytes are pinned
-# only where README says they hold.
+# The noise goes through numpy's log1p and the posterior means through its
+# log and exp, so the bytes are pinned only where README says they hold.
 pinned_build = pytest.mark.skipif(
     np.__version__ != "2.4.6" or platform.machine() not in ("x86_64", "AMD64"),
     reason="README's pinned outputs hold for numpy 2.4.6 on x86-64",
@@ -85,11 +90,31 @@ pinned_build = pytest.mark.skipif(
 
 @pinned_build
 @pytest.mark.parametrize("argv, digest", [
-    pytest.param(argv, digest, id=name) for name, argv, digest in readme_sweep_digests()
+    pytest.param(argv, digest, id=name) for name, argv, digest, _ in readme_sweep_digests()
 ])
 def test_readme_sweep_hashes(argv, digest, tmp_path, capsys):
+    from numpy._core._multiarray_umath import __cpu_features__
+    if not __cpu_features__["X86_V4"]:
+        pytest.skip("README's first digest column holds where numpy dispatches AVX-512")
     out = tmp_path / "sweep.csv"
     assert main(argv + ["--out", str(out)]) == 0, capsys.readouterr().err
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pinned_build
+@pytest.mark.parametrize("argv, digest", [
+    pytest.param(argv, digest, id=name) for name, argv, _, digest in readme_sweep_digests()
+])
+def test_readme_sweep_hashes_without_avx512(argv, digest, tmp_path):
+    # On a CPU without AVX-512 the variable changes nothing, so this column
+    # is checked everywhere.
+    out = tmp_path / "sweep.csv"
+    child = subprocess.run(
+        [sys.executable, "-m", "dpbayes.cli", *argv, "--out", str(out)],
+        env={**child_env(), "NPY_DISABLE_CPU_FEATURES": "X86_V4"},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert child.returncode == 0, child.stderr
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
