@@ -4,9 +4,9 @@
 Writes the full sweep CSV, then prints four views of it: mean absolute
 error against privacy level for each database size, the match-probability
 sweep, and the share of runs where the corrected estimate beats the raw
-response.  The full grid at the default 10^5 runs takes about 1 second
-for the whole script (0.9-1.2 s over 7 runs on a 2-core x86-64 machine,
-numpy 2.4.6); pass --runs 2000 for a quick look.
+response.  The full grid at the default 10^5 runs takes under a second
+for the whole script (0.68-0.99 s over 7 runs at commit 586582e on a
+2-core x86-64 machine, numpy 2.4.6); pass --runs 2000 for a quick look.
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ import threading
 
 import numpy as np
 
-from .mechanism import PrivacyLevel, _check_real
+from .mechanism import PrivacyLevel, _check_real, _check_reals
 from .prior import _CHUNK_ELEMENTS, BinomialPrior, log_mass_vector
 
 __all__ = [
@@ -224,12 +224,7 @@ def bayes_estimate_batch(prior: BinomialPrior, level: PrivacyLevel, ys) -> np.nd
         FloatingPointError: naming the offending row if normalisation
             degenerates.
     """
-    ys = np.asarray(ys)
-    if ys.ndim != 1 or ys.dtype.kind not in "iuf":
-        raise ValueError(f"expected a 1-d integer or float array, got {ys.dtype} {ys.shape}")
-    ys = ys.astype(np.float64, copy=False)
-    if not np.all(np.isfinite(ys)):
-        raise ValueError("noisy responses must all be finite reals")
+    ys = _check_reals(ys, "noisy responses")
     out = np.empty(ys.shape[0], dtype=np.float64)
     _posterior_means(prior, (level,), ys[None], out[None])
     return out

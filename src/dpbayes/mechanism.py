@@ -18,6 +18,7 @@ import numpy as np
 # The smallest positive double uniform; it gives the largest noise, 52*ln(2)/epsilon.
 _SMALLEST_UNIFORM = 2.0**-53
 _UNIFORM_ERROR = "a noise uniform must lie in [0, 1), got {!r}"
+_FLOAT_INT_LIMIT = 2**1024 - 2**970  # float() rounds an int this large to 2**1024: overflow
 
 __all__ = ["PrivacyLevel", "OutOfRangeBounds", "calibrate", "laplace_density", "sample_noise",
            "out_of_range_probability", "out_of_range_bounds", "dp_ratio_check"]
@@ -128,8 +129,9 @@ def _check_integer(value, what: str, minimum: int | None = None) -> int:
     """The package's one integer check at its edges: ``value`` as an int, else ``ValueError``.
 
     Refuses bools (an int subclass: True would pass as 1), non-integral values
-    (``int()`` truncates 1.7 to 1), None, NaN, infinities and values below ``minimum``.
-    An exact ``int`` skips the conversion.
+    (``int()`` truncates 1.7 to 1), None, NaN, infinities, integers that no
+    float can hold, such as ``10**400``, and values below ``minimum``.  An
+    exact ``int`` skips the conversion.
     """
     number = value
     if type(value) is not int:
@@ -139,6 +141,8 @@ def _check_integer(value, what: str, minimum: int | None = None) -> int:
             number = None
         if isinstance(value, (bool, np.bool_)) or number is None or number != value:
             raise ValueError(f"{what} must be an integer, got {value!r}")
+    if abs(number) >= _FLOAT_INT_LIMIT:
+        raise ValueError(f"{what} must be an integer within the float range, got {value!r}")
     if minimum is not None and number < minimum:
         raise ValueError(f"{what} must be an integer of at least {minimum}, got {value!r}")
     return number
@@ -162,6 +166,17 @@ def _check_real(value, what: str) -> float:
     if not math.isfinite(number):
         raise ValueError(f"{what} must be a finite real number, got {value!r}")
     return number
+
+
+def _check_reals(values, what: str) -> np.ndarray:
+    """:func:`_check_real` for arrays: a 1-d integer or float array of finite values, as float64."""
+    array = np.asarray(values)
+    if array.ndim != 1 or array.dtype.kind not in "iuf":
+        raise ValueError(f"{what} must be a 1-d integer or float array, got {array.dtype} {array.shape}")
+    array = array.astype(np.float64, copy=False)
+    if not np.all(np.isfinite(array)):
+        raise ValueError(f"{what} must all be finite reals")
+    return array
 
 
 def _check_collection(values, what: str) -> tuple:
@@ -246,10 +261,11 @@ def dp_ratio_check(level: PrivacyLevel, a1: int, a2: int, grid) -> bool:
         grid: points at which to test the ratio.
 
     Raises:
-        ValueError: if the counts are not integers or not neighbours.
+        ValueError: if the counts are not integers or not neighbours, or
+            ``grid`` is not a 1-d integer or float array of finite values.
     """
     if abs(_check_integer(a1, "a1") - _check_integer(a2, "a2")) != 1:
         raise ValueError(f"counts must differ by exactly 1, got {a1!r} and {a2!r}")
-    ys = np.asarray(grid, dtype=np.float64)
+    ys = _check_reals(grid, "grid points")
     log_ratio = level.epsilon * (np.abs(ys - float(a2)) - np.abs(ys - float(a1)))
     return bool(np.all(log_ratio <= level.epsilon * (1.0 + 1e-12)))

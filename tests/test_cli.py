@@ -54,6 +54,10 @@ def median_noise(monkeypatch):
     )
 
 
+# An integer that no float can hold: float() of it raises OverflowError.
+BEYOND_FLOAT = str(10**400)
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -158,6 +162,19 @@ class TestSweep:
         assert (code, out) == (2, "")
         assert err == ("error: epsilon 2e-152 is too small for 100000 runs: "
                        "the sums of squared errors would overflow\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("--n", BEYOND_FLOAT, "--eps", "0.1", "--runs", "10"), ("--runs", BEYOND_FLOAT)],
+        ids=["n", "runs"],
+    )
+    def test_integer_beyond_the_float_range_is_usage_error(self, capsys, monkeypatch, argv):
+        # Such an n used to escape as OverflowError (exit 1), and such runs
+        # were refused as too many for the smallest epsilon.
+        monkeypatch.setattr(cli_module, "run_sweep", lambda config: pytest.fail("sweep ran"))
+        code, out, err = run_cli(capsys, "sweep", *argv)
+        assert (code, out) == (2, "")
+        assert "within the float range" in err and BEYOND_FLOAT in err
 
     @pytest.mark.parametrize("target", ["missing/sweep.csv", "."], ids=["missing-dir", "a-dir"])
     def test_unwritable_out_is_usage_error_before_the_sweep(self, capsys, monkeypatch, tmp_path,
@@ -388,6 +405,16 @@ class TestQueryReleasePath:
         assert (code, out, calls) == (2, "", [])
         assert "error:" in err
 
+    def test_n_known_beyond_the_float_range_releases_nothing(self, capsys, data_file, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli_module, "noisy_count_query", lambda *args: calls.append(args))
+        code, out, err = run_cli(
+            capsys, "query", "--data", data_file, "--where", "city equals Rome",
+            "--eps", "0.1", "--seed", "3", "--p", "0.3", "--n-known", BEYOND_FLOAT,
+        )
+        assert (code, out, calls) == (2, "", [])
+        assert "within the float range" in err and BEYOND_FLOAT in err
+
     def test_duplicate_header_releases_nothing(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "twice.csv"
         path.write_text("city,plan,city\nRome,basic,Milan\n")
@@ -602,6 +629,16 @@ class TestAnalyze:
     def test_bad_size_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "analyze", "--n", "0", "--eps", "0.1", "--bounds")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "mode", [(), ("--bounds",), ("--p", "0.3"), ("--a", "0")],
+        ids=["table", "bounds", "widths", "count"],
+    )
+    def test_size_beyond_the_float_range_is_usage_error(self, capsys, mode):
+        # Every mode used to exit 1 with "int too large to convert to float".
+        code, out, err = run_cli(capsys, "analyze", "--n", BEYOND_FLOAT, "--eps", "0.1", *mode)
+        assert (code, out) == (2, "")
+        assert "within the float range" in err and BEYOND_FLOAT in err
 
     def test_out_of_range_count_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "analyze", "--n", "100", "--eps", "0.1", "--a", "101")

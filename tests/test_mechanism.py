@@ -14,6 +14,7 @@ from scipy import integrate
 from dpbayes import (
     BinomialPrior,
     PrivacyLevel,
+    SweepConfig,
     bayes_estimate,
     calibrate,
     dp_ratio_check,
@@ -23,6 +24,7 @@ from dpbayes import (
     out_of_range_probability,
     posterior,
     sample_noise,
+    uncertainty_widths,
 )
 from dpbayes.mechanism import _check_integer, _check_real, _laplace_quantile, _laplace_quantiles
 
@@ -138,6 +140,40 @@ class TestRealCheck:
             call()
 
 
+class TestIntegerCheck:
+    def test_refuses_exactly_the_integers_float_cannot_convert(self):
+        # 2**1024 - 2**970 is half-way from the largest double to 2**1024.
+        for value in (2**1024 - 2**970 - 1, 2**1024 - 2**970, 10**400):
+            for number in (value, -value):
+                try:
+                    float(number)
+                except OverflowError:
+                    with pytest.raises(ValueError, match="within the float range"):
+                        _check_integer(number, "x")
+                else:
+                    assert _check_integer(number, "x") == number
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda n: uncertainty_widths(BinomialPrior(n, 0.3), calibrate(0.1)),
+            lambda n: SweepConfig(n_values=(n,)),
+            lambda n: SweepConfig(runs=n),
+            lambda n: out_of_range_probability(0, n, calibrate(0.1)),
+            lambda n: out_of_range_bounds(n, calibrate(0.1)),
+            lambda n: dp_ratio_check(calibrate(0.1), n, n + 1, [0.0]),
+            lambda n: bayes_estimate(BinomialPrior(n, 0.3), calibrate(0.1), 1.0),
+            lambda n: posterior(BinomialPrior(n, 0.3), calibrate(0.1), 1.0),
+        ],
+        ids=["widths", "sweep-n", "sweep-runs", "probability", "bounds", "dp-ratio", "bayes",
+             "posterior"],
+    )
+    def test_integers_beyond_the_float_range_are_value_errors(self, call):
+        # Each but sweep-runs used to raise OverflowError from a later float().
+        with pytest.raises(ValueError, match="within the float range"):
+            call(10**400)
+
+
 class FloatSubclass(float):
     pass
 
@@ -166,7 +202,7 @@ class TestEdgeChecks:
             (FloatSubclass(math.inf), FINITE, INTEGER),
             (IntSubclass(3), 3.0, 3),
             (IntSubclass(-1), -1.0, "of at least 0"),
-            (10**400, "within the float range", 10**400),
+            (10**400, "within the float range", "within the float range"),
             ("1", REAL, INTEGER),
             (None, REAL, INTEGER),
             (Fraction(3, 2), 1.5, INTEGER),
@@ -496,6 +532,16 @@ class TestDpRatioCheck:
             dp_ratio_check(calibrate(1.0), value, 2, [0.0, 1.0])
         with pytest.raises(ValueError):
             dp_ratio_check(calibrate(1.0), 1, value, [0.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "grid",
+        [[math.inf], [-math.inf], [math.nan], ["1.5"], [True], [[0.0, 1.0]], 0.5, [10**400]],
+        ids=["inf", "minus-inf", "nan", "string", "bool", "two-d", "scalar", "beyond-float"],
+    )
+    def test_rejects_grids_that_are_not_finite_reals(self, grid):
+        # [inf] and [nan] used to report a violation, and ["1.5"] and [True] to pass.
+        with pytest.raises(ValueError, match="grid points must"):
+            dp_ratio_check(calibrate(1.0), 0, 1, grid)
 
     def test_accepts_integral_numbers(self):
         assert dp_ratio_check(calibrate(1.0), np.int64(3), 4.0, [0.0, 3.5, 9.0])

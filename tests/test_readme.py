@@ -65,6 +65,32 @@ def test_readme_csv_schema_is_the_header():
     assert readme_block("CSV schema", "").strip() == ",".join(CSV_HEADER)
 
 
+# A timing or peak-memory figure, such as "0.6-1.0 ms", "2.13 µs" or "48 MB".
+FIGURE = re.compile(r"\d(?:[\d.]*\d)?\s?(?:[µμ]s|ms|s|MB|GB)\b")
+
+
+def readme_statements() -> list:
+    """README's sentences and list items outside code blocks, each joined onto one line."""
+    prose = re.sub(r"^ *```.*?^ *```", "", README.read_text(), flags=re.DOTALL | re.MULTILINE)
+    items = re.split(r"\n\s*\n|\n(?= *- )", prose)
+    return [sentence for item in items
+            for sentence in re.split(r"(?<=[.!?])\s+(?=[A-Z`(])", " ".join(item.split()))]
+
+
+def test_readme_figures_name_their_source():
+    # A figure measured once goes stale unless a committed BENCH_*.json keeps
+    # its measurement or a tier-1 test checks it, so each names one of those.
+    root = README.parent
+    tests = "".join(path.read_text() for path in (root / "tests").glob("test_*.py"))
+    assert FIGURE.search("grows peak RSS by about 2 MB, in 0.50-0.66 s")
+    unsourced = [
+        statement for statement in readme_statements() if FIGURE.search(statement)
+        and not any((root / name).is_file() for name in re.findall(r"BENCH_\w+\.json", statement))
+        and not any(f"def {name}(" in tests for name in re.findall(r"\b(test_\w+)", statement))
+    ]
+    assert unsourced == []
+
+
 def readme_sweep_digests() -> list:
     """``(name, argv, sha256, sha256 without AVX-512)`` per row of README's digest table."""
     section = README.read_text().split("## Reproducibility", 1)[1]

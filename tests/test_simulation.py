@@ -234,8 +234,8 @@ class TestRunCell:
     def test_memory_stays_bounded_at_a_million_records(self):
         # A run costs two uniforms whatever n is, so a cell at n = 10**6 is
         # cheap.  What grows with n is O(n) per (n, p, epsilon): the prior's
-        # masses and the posterior's block sums, about 70 MB here.  Measured
-        # in a fresh process as growth of VmHWM.
+        # masses and the posterior's block sums, about 17 MB at commit
+        # 586582e (three runs).  Measured in a fresh process as growth of VmHWM.
         growth_mb = peak_growth_mb(
             "cell = run_sweep(SweepConfig((10**6,), (0.3,), (0.1,), 1000, 0))[0]\n"
             "assert cell.runs == 1000 and cell.avg_err_bayes > 0.0\n",
